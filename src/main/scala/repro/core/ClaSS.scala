@@ -78,6 +78,10 @@ final case class ClaSSConfig(
   * with SuSS; (2) replay the buffer through the k-NN so segmentation covers
   * the stream from its first observation (Subsection 3.4); (3) steady state —
   * one k-NN update plus one profile sweep per point.
+  *
+  * Missing values: a non-finite reading (NaN, ±Inf) is replaced by the last
+  * finite one (0.0 before any), so positions stay aligned with the stream;
+  * [[missingValues]] counts the replacements.
   */
 final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
   override def name: String = "ClaSS"
@@ -90,6 +94,8 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
   private var w: Int = cfg.width.getOrElse(-1)
   private var lastCp: Long = 0L // absolute position of the last reported CP
   private var passStreak: Int = 0 // consecutive steps the detection held
+  private var lastFinite: Double = 0.0
+  private var missing: Long = 0L
 
   /** The learned (or configured) subsequence width; -1 before warm-up ends. */
   def width: Int = w
@@ -99,7 +105,12 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
 
   private var knnObserved: Long = 0L
 
-  override def update(x: Double): Option[Long] = {
+  /** Non-finite readings replaced so far. */
+  def missingValues: Long = missing
+
+  override def update(reading: Double): Option[Long] = {
+    val x = if (java.lang.Double.isFinite(reading)) { lastFinite = reading; reading }
+            else { missing += 1; lastFinite }
     if (knn == null) {
       warmup(warmupLen) = x
       warmupLen += 1
@@ -131,8 +142,6 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
     val split = scorer.score(knn, scopeStart, w, cfg.scoreFunction, exclRadius = cfg.exclRadius)
     if (split.bestZeroCount < 0) { passStreak = 0; return None }
     if (split.bestScore < cfg.minScore) { passStreak = 0; return None }
-    // Leave the predicted labels in the best split's configuration, then test.
-    scorer.scoreAt(knn, scopeStart, w, cfg.scoreFunction, split.bestZeroCount)
     val p = Wilcoxon.significanceP(
       scorer.yPred, split.numSubseq, split.bestZeroCount, cfg.sampleSize, rng)
     if (p < cfg.significance) {

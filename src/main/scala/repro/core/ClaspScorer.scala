@@ -35,7 +35,9 @@ final case class SplitScore(bestZeroCount: Int, bestScore: Double, numSubseq: In
   * one subsequence; the scorer flips that one label, pushes the delta through
   * the reverse-NN lists into the per-subsequence label counts, predictions
   * and the confusion matrix, and reads each split's score off the confusion
-  * matrix in constant time.
+  * matrix in constant time. A prediction only ever moves 1 -> 0, so the
+  * sweep records the split at which each one turns 0; the labels at the best
+  * split (for the significance test) follow from those in one pass.
   *
   * All buffers are preallocated to `maxRows` and reused across calls — the
   * scorer runs once per stream observation, so per-call allocation would
@@ -43,9 +45,11 @@ final case class SplitScore(bestZeroCount: Int, bestScore: Double, numSubseq: In
   */
 final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
 
-  // Labels and per-subsequence zero-neighbour counts (local scope indexing).
-  private val yTrue = new Array[Int](maxRows)
+  // Per local subsequence: during `score`, the split at which its predicted
+  // label turns 0 (0 = from the start, `Int.MaxValue` = not yet); afterwards,
+  // its label at the best split.
   private val yPredArr = new Array[Int](maxRows)
+  // Zero-labelled neighbours per subsequence (local scope indexing).
   private val count0 = new Array[Int](maxRows)
   // Reverse-NN lists in CSR layout: neighbours-of lists for each local index.
   private val revOff = new Array[Int](maxRows + 1)
@@ -55,10 +59,9 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
   private val profileArr = new Array[Double](maxRows)
   private var profileLen = 0
 
-  /** Predicted label of local subsequence `j` after the last `score` call.
-    * Valid until the next call; reflects the final split's configuration only
-    * if `replayTo` was used — the significance test instead replays to the
-    * best split via [[scoreAt]].
+  /** Predicted label of local subsequence `j` at the best split of the last
+    * `score` call (the significance test's input). Valid until the next call,
+    * and only if that call found a split.
     */
   def yPred: Array[Int] = yPredArr
 
@@ -70,15 +73,13 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
   /** Number of valid profile entries (max zero count) of the last call. */
   def numSplits: Int = profileLen
 
-  /** Score every hypothetical split of the scope `[scopeStart, knn.numRows)`.
+  /** Score every hypothetical split of the scope `[scopeStart, knn.numRows)`
+    * and leave [[yPred]] at the best one.
     *
     * @param knn        the streaming k-NN (must be `ready`)
     * @param scopeStart first row of the unsegmented scope
     * @param w          subsequence width
     * @param f          classification score function
-    * @param stopAtZc   if `>= 0`, stop after processing that split and leave
-    *                   `yPred` in exactly that split's label configuration
-    *                   (used to re-derive the labels for the significance test)
     * @param exclRadius minimum segment size in window-widths: only splits
     *                   leaving at least `exclRadius * w` points on each side
     *                   compete for the maximum (ClaSP's CP exclusion radius;
@@ -87,7 +88,7 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     *         small for any admissible split)
     */
   def score(knn: StreamingKnn, scopeStart: Int, w: Int, f: String,
-            stopAtZc: Int = -1, exclRadius: Int = 1): SplitScore = {
+            exclRadius: Int = 1): SplitScore = {
     val useF1 = f == ScoreFunction.MacroF1
     val m = knn.numRows - scopeStart
     val zMax = m - w - 2 // splits leave w subsequences untouched on each side
@@ -103,7 +104,7 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     // --- initial configuration: every in-scope label is 1 ------------------
     val scopeBasePos = knn.windowStart + scopeStart
     var j = 0
-    while (j < m) { yTrue(j) = 1; count0(j) = 0; revFill(j) = 0; j += 1 }
+    while (j < m) { count0(j) = 0; revFill(j) = 0; j += 1 }
     java.util.Arrays.fill(revOff, 0, m + 1, 0)
 
     // Count out-of-scope (class-0) neighbours; size reverse lists.
@@ -134,12 +135,12 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     }
 
     // Initial predictions and confusion matrix n[trueLabel][predLabel].
+    val Never = Int.MaxValue
     var n11 = 0; var n10 = 0; var n01 = 0; var n00 = 0
     j = 0
     while (j < m) {
-      val p = if (2 * count0(j) >= k) 0 else 1
-      yPredArr(j) = p
-      if (p == 1) n11 += 1 else n10 += 1 // all true labels start as 1
+      // all true labels start as 1
+      if (2 * count0(j) >= k) { yPredArr(j) = 0; n10 += 1 } else { yPredArr(j) = Never; n11 += 1 }
       j += 1
     }
 
@@ -151,26 +152,23 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
       } else (n11 + n00).toDouble / m
 
     // --- sweep: flip one subsequence per split ------------------------------
+    // At split zc, subsequence j's true label is 1 iff j >= zc.
     var bestZc = -1
     var bestScore = Double.NegativeInfinity
-    val limit = if (stopAtZc >= 0) math.min(stopAtZc, zMax) else zMax
     var zc = 1
-    while (zc <= limit) {
+    while (zc <= zMax) {
       val flip = zc - 1
       // The flipped subsequence's own (true, pred) cell moves rows 1 -> 0.
-      if (yPredArr(flip) == 1) { n11 -= 1; n01 += 1 } else { n10 -= 1; n00 += 1 }
-      yTrue(flip) = 0
+      if (yPredArr(flip) == Never) { n11 -= 1; n01 += 1 } else { n10 -= 1; n00 += 1 }
       // Every subsequence that has `flip` among its k-NN sees one more zero.
       var r = revOff(flip)
       val rEnd = revOff(flip + 1)
       while (r < rEnd) {
         val idx = revDst(r)
         count0(idx) += 1
-        val p = if (2 * count0(idx) >= k) 0 else 1
-        if (p != yPredArr(idx)) {
-          if (yTrue(idx) == 1) { n11 -= 1; n10 += 1 } // pred can only move 1 -> 0
-          else { n01 -= 1; n00 += 1 }
-          yPredArr(idx) = p
+        if (yPredArr(idx) == Never && 2 * count0(idx) >= k) { // pred can only move 1 -> 0
+          if (idx >= zc) { n11 -= 1; n10 += 1 } else { n01 -= 1; n00 += 1 }
+          yPredArr(idx) = zc
         }
         r += 1
       }
@@ -179,15 +177,11 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
       if (zc >= zcLo && zc <= zcHi && s > bestScore) { bestScore = s; bestZc = zc }
       zc += 1
     }
-    profileLen = limit
-    if (bestZc < 0) SplitScore(-1, 0.0, m) else SplitScore(bestZc, bestScore, m)
-  }
-
-  /** Re-run the sweep up to split `zc` so that `yPred` holds exactly that
-    * split's predicted labels (for the Wilcoxon significance test).
-    */
-  def scoreAt(knn: StreamingKnn, scopeStart: Int, w: Int, f: String, zc: Int): Unit = {
-    score(knn, scopeStart, w, f, stopAtZc = zc)
-    ()
+    profileLen = zMax
+    if (bestZc < 0) return SplitScore(-1, 0.0, m)
+    // Labels at the best split: 0 exactly when the prediction turned 0 by then.
+    j = 0
+    while (j < m) { yPredArr(j) = if (yPredArr(j) <= bestZc) 0 else 1; j += 1 }
+    SplitScore(bestZc, bestScore, m)
   }
 }

@@ -8,10 +8,13 @@ package repro.core
   *  (a) computes the Pearson correlations between the newest subsequence and
   *      all others in `O(d)` by maintaining STOMP-style `(w-1)`-length dot
   *      products across overlapping windows (Equations 1–5),
-  *  (b) appends the newest subsequence's k-NN row (k sequential top-k scans
-  *      with an exclusion radius of `3/2·w` against trivial matches), and
+  *  (b) appends the newest subsequence's k-NN row (top-k over its
+  *      predecessors, with an exclusion radius of `3/2·w` against trivial
+  *      matches), and
   *  (c) updates the rows of older subsequences for which the newest one is a
   *      closer neighbour than their current k-th.
+  *
+  * Both (b) and (c) go through one sorted top-k insertion.
   *
   * Neighbour identities are stored as **absolute** subsequence positions
   * (index of the subsequence's first point since stream start). This encodes
@@ -19,14 +22,13 @@ package repro.core
   * without an O(k·d) decrement pass: window-relative offsets are derived on
   * read and may be negative, which the ClaSP scorer maps to class zero.
   *
-  * Rows become available ("ready") once every in-window subsequence has at
-  * least `k` admissible neighbours under the exclusion radius; at that moment
-  * the rows of all earlier subsequences are backfilled with a one-time
-  * all-pairs pass, making the structure behave exactly as if it had been
-  * maintained from the first point. The steady-state invariant — verified
-  * against a naive reference in the tests — is: the row of subsequence `a`
-  * holds the top-k correlations over all subsequences `b` with
-  * `|a-b| >= exclusion` that co-existed with `a` in the sliding window.
+  * Rows are maintained from the first subsequence on; a new row starts as
+  * `k` empty (`-∞`) slots. Rows become available ("ready") once every
+  * in-window subsequence has at least `k` admissible neighbours under the
+  * exclusion radius. The invariant — verified against a naive reference in
+  * the tests — is: the row of subsequence `a` holds the top-k correlations
+  * over all subsequences `b` with `|a-b| >= exclusion` that co-existed with
+  * `a` in the sliding window.
   *
   * @param d sliding window size (points)
   * @param w subsequence width; must satisfy `d >= w + 2*excl + k` so that the
@@ -61,7 +63,8 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
   private val nnPos = new Array[Int](maxRows * k) // absolute positions, sorted by corr desc
   private val nnCorr = new Array[Double](maxRows * k)
   private var rows = 0
-  private var backfilled = false
+  // Newest-subsequence index from which every row holds k admissible neighbours.
+  private val readyRow = 2 * exclusion + k - 2
 
   /** Absolute position of the point at window index 0. */
   def windowStart: Int = (tau - len).toInt
@@ -69,11 +72,11 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
   /** Number of points currently buffered. */
   def length: Int = len
 
-  /** Number of k-NN rows available (equals in-window subsequences when ready). */
+  /** Number of k-NN rows (one per in-window subsequence). */
   def numRows: Int = rows
 
-  /** Whether k-NN rows are being produced yet. */
-  def ready: Boolean = backfilled
+  /** Whether every row holds `k` neighbours yet. */
+  def ready: Boolean = rows > readyRow
 
   /** Absolute position of the subsequence behind row `i`. */
   def rowPos(i: Int): Int = windowStart + i
@@ -101,7 +104,7 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     */
   def correlations: Array[Double] = corrScratch
 
-  /** Ingest one observation; updates dot products and (when ready) k-NN rows. */
+  /** Ingest one observation; updates dot products and k-NN rows. */
   def update(x: Double): Unit = {
     val evicted = len == d
     if (evicted) {
@@ -155,53 +158,30 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     maintainRows(e, evicted)
   }
 
+  /** (b) the newest subsequence's row: top-k among indices `[0, e-exclusion]`;
+    * (c) the older rows in which the newest subsequence is a closer neighbour.
+    */
   private def maintainRows(e: Int, evicted: Boolean): Unit = {
-    if (!backfilled) {
-      // Ready once *every* subsequence 0..e has >= k admissible neighbours.
-      if (e >= 2 * exclusion + k - 2) { backfill(e); backfilled = true }
-      return
-    }
-    if (evicted && rows == maxRows) {
+    if (evicted) {
       System.arraycopy(nnPos, k, nnPos, 0, (maxRows - 1) * k)
       System.arraycopy(nnCorr, k, nnCorr, 0, (maxRows - 1) * k)
-      rows -= 1
     }
-    // (b) row for the newest subsequence: top-k among indices [0, e-exclusion].
-    appendRowTopK(e, corrScratch, 0, e - exclusion)
-    // (c) the newest subsequence may displace entries in older rows.
+    java.util.Arrays.fill(nnCorr, e * k, e * k + k, Double.NegativeInfinity)
+    rows = e + 1
     val newPos = windowStart + e
-    var iRow = 0
-    val lim = e - exclusion
-    while (iRow <= lim) {
-      insertIfCloser(iRow, newPos, corrScratch(iRow))
-      iRow += 1
+    var i = 0
+    while (i <= e - exclusion) {
+      insertIfCloser(e, windowStart + i, corrScratch(i))
+      insertIfCloser(i, newPos, corrScratch(i))
+      i += 1
     }
-  }
-
-  /** Append a row holding the top-k of `corr(lo..hi)` (candidate window index
-    * -> absolute position). Caller guarantees at least `k` candidates.
-    */
-  private def appendRowTopK(rowIdx: Int, corr: Array[Double], lo: Int, hi: Int): Unit = {
-    val base = rowIdx * k
-    var filled = 0
-    var cand = lo
-    while (cand <= hi) {
-      val c = corr(cand)
-      if (filled < k || c > nnCorr(base + filled - 1)) {
-        var ins = math.min(filled, k - 1)
-        while (ins > 0 && nnCorr(base + ins - 1) < c) {
-          nnCorr(base + ins) = nnCorr(base + ins - 1)
-          nnPos(base + ins) = nnPos(base + ins - 1)
-          ins -= 1
-        }
-        nnCorr(base + ins) = c
-        nnPos(base + ins) = windowStart + cand
-        if (filled < k) filled += 1
+    if (e == readyRow) {
+      i = 0
+      while (i <= e) {
+        require(nnCorr(i * k + k - 1) != Double.NegativeInfinity, s"row $i has fewer than $k neighbours")
+        i += 1
       }
-      cand += 1
     }
-    require(filled == k, s"row $rowIdx has only $filled of $k neighbours")
-    rows = math.max(rows, rowIdx + 1)
   }
 
   /** Insert `pos` into row `i` if its correlation beats the row's worst. */
@@ -216,80 +196,5 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     }
     nnCorr(base + ins) = c
     nnPos(base + ins) = pos
-  }
-
-  /** One-time all-pairs pass over subsequences `0..e` (STOMP recurrence,
-    * `O(e² + e·w)`), filling every row with its exact bidirectional top-k.
-    */
-  private def backfill(e: Int): Unit = {
-    val n = e + 1
-    val dots = new Array[Double](n) // dots(j) = DOT(sub a, sub j) for current a
-    val corr = new Array[Double](n)
-    val prev = new Array[Double](n)
-    var a = 0
-    while (a < n) {
-      if (a == 0) {
-        var j = 0
-        while (j < n) {
-          var acc = 0.0
-          var m = 0
-          while (m < w) { acc += win(m) * win(j + m); m += 1 }
-          dots(j) = acc
-          j += 1
-        }
-      } else {
-        dots(0) = { // no (a-1, -1) predecessor: direct O(w)
-          var acc = 0.0
-          var m = 0
-          while (m < w) { acc += win(a + m) * win(m); m += 1 }
-          acc
-        }
-        var j = 1
-        while (j < n) {
-          dots(j) = prev(j - 1) - win(a - 1) * win(j - 1) + win(a + w - 1) * win(j + w - 1)
-          j += 1
-        }
-      }
-      System.arraycopy(dots, 0, prev, 0, n)
-      val muA = MathUtil.windowMean(csum, a, w)
-      val sigA = MathUtil.windowStd(csum, csumSq, a, w)
-      var j = 0
-      while (j < n) {
-        val mu = MathUtil.windowMean(csum, j, w)
-        val sig = MathUtil.windowStd(csum, csumSq, j, w)
-        val c =
-          if (sig <= 0.0 || sigA <= 0.0) 0.0
-          else (dots(j) - w * mu * muA) / (w * sig * sigA)
-        corr(j) = if (math.abs(a - j) < exclusion) Double.NegativeInfinity
-                  else math.max(-1.0, math.min(1.0, c))
-        j += 1
-      }
-      appendRowFromMasked(a, corr, n)
-      a += 1
-    }
-  }
-
-  /** Top-k append over a pre-masked candidate array (NegativeInfinity = excluded). */
-  private def appendRowFromMasked(rowIdx: Int, corr: Array[Double], n: Int): Unit = {
-    val base = rowIdx * k
-    var filled = 0
-    var cand = 0
-    while (cand < n) {
-      val c = corr(cand)
-      if (c != Double.NegativeInfinity && (filled < k || c > nnCorr(base + filled - 1))) {
-        var ins = math.min(filled, k - 1)
-        while (ins > 0 && nnCorr(base + ins - 1) < c) {
-          nnCorr(base + ins) = nnCorr(base + ins - 1)
-          nnPos(base + ins) = nnPos(base + ins - 1)
-          ins -= 1
-        }
-        nnCorr(base + ins) = c
-        nnPos(base + ins) = windowStart + cand
-        if (filled < k) filled += 1
-      }
-      cand += 1
-    }
-    require(filled == k, s"backfill row $rowIdx has only $filled of $k neighbours")
-    rows = math.max(rows, rowIdx + 1)
   }
 }

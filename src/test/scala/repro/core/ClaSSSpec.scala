@@ -1,11 +1,28 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.data.SyntheticCorpus
 
 class ClaSSSpec extends SparkSpec {
 
   private def run(cfg: ClaSSConfig, xs: Array[Double]): Vector[Long] =
     StreamSegmenter.segmentSeries(new ClaSS(cfg), xs)
+
+  /** Each reported CP with the index of the point whose update reported it. */
+  private def detections(c: ClaSS, xs: Array[Double]): Vector[(Long, Int)] =
+    xs.indices.flatMap(i => c.update(xs(i)).map(cp => (cp, i))).toVector
+
+  /** Two fixed benchmark-tier TSSB series with three segments each. */
+  private lazy val tssb: Seq[Array[Double]] =
+    SyntheticCorpus.specs(42)
+      .filter(s => s.dataset == "TSSB" && s.nSegments >= 3 && s.length <= 4000)
+      .take(2).map(SyntheticCorpus.generate(_).values)
+
+  /** Same number of CPs, each within 45 points (a tenth of the corpus'
+    * minimum segment) of its counterpart.
+    */
+  private def closeTo(got: Vector[(Long, Int)], clean: Vector[(Long, Int)]): Boolean =
+    got.size == clean.size && got.zip(clean).forall { case (a, b) => math.abs(a._1 - b._1) <= 45 }
 
   test("detects a clear shape change close to the true boundary") {
     val xs = Reference.Signals.twoRegimes(4000, 2000, 20, 50, 0.05, 41)
@@ -119,5 +136,45 @@ class ClaSSSpec extends SparkSpec {
     val xs = Reference.Signals.noisySine(1200, 30, 0.1, 54)
     xs.foreach(cls.update)
     assert(cls.observed == 1200)
+  }
+
+  test("golden CPs and detection indices on fixed corpus series") {
+    val golden = Seq(
+      Vector(490L -> 999, 1028L -> 1181, 2036L -> 2180),
+      Vector(492L -> 999, 1039L -> 1215, 1582L -> 1758))
+    tssb.zip(golden).foreach { case (xs, want) =>
+      assert(detections(new ClaSS(ClaSSConfig()), xs) == want)
+    }
+    // Long and noisy, w = 50; its first CP is reported while the warm-up replays.
+    val mHealth = SyntheticCorpus.generate(SyntheticCorpus.specs(1).filter(_.dataset == "mHealth").head)
+    val c = new ClaSS(ClaSSConfig())
+    val got = detections(c, mHealth.values)
+    assert(c.width == 50)
+    assert(got.map(_._1) == Vector[Long](704, 2024, 2622, 3322, 3951, 4596, 5360, 6182, 6987))
+    assert(got.map(_._2) == Vector(999, 2283, 3452, 3522, 4203, 4796, 5560, 6382, 7188))
+  }
+
+  test("a non-finite reading is replaced by the last finite one and counted") {
+    tssb.foreach { xs =>
+      val clean = detections(new ClaSS(ClaSSConfig()), xs)
+      for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+        val c = new ClaSS(ClaSSConfig())
+        val got = detections(c, xs.updated(300, bad))
+        assert(closeTo(got, clean), s"$bad at 300: $got vs clean $clean")
+        assert(c.missingValues == 1)
+        assert(c.observed == xs.length)
+      }
+    }
+  }
+
+  test("non-finite readings before any finite one count as 0.0") {
+    val xs = Reference.Signals.twoRegimes(3000, 1500, 20, 50, 0.05, 55)
+    val a = new ClaSS(ClaSSConfig(d = 500))
+    val b = new ClaSS(ClaSSConfig(d = 500))
+    val got = detections(a, xs.updated(0, Double.NaN).updated(1, Double.NegativeInfinity))
+    val want = detections(b, xs.updated(0, 0.0).updated(1, 0.0))
+    assert(want.nonEmpty)
+    assert(got == want)
+    assert(a.missingValues == 2 && b.missingValues == 0)
   }
 }

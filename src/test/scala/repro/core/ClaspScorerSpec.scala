@@ -28,6 +28,8 @@ class ClaspScorerSpec extends SparkSpec {
         val bestNaive = naive.max
         assert(math.abs(res.bestScore - bestNaive) < 1e-9)
         assert(math.abs(naive(res.bestZeroCount - 1) - bestNaive) < 1e-12)
+        val labels = (0 until res.numSubseq).map(scorer.yPred(_))
+        assert(labels == Reference.naiveYPred(knn, s0, res.bestZeroCount), s"scope=$s0 labels")
       }
     }
   }
@@ -69,17 +71,17 @@ class ClaspScorerSpec extends SparkSpec {
     }
   }
 
-  test("scoreAt leaves yPred in the requested split configuration") {
+  test("yPred holds the labels at the best split") {
     val xs = Reference.Signals.twoRegimes(350, 175, 16, 40, 0.05, 27)
     val knn = buildKnn(xs, 150, 8, 3)
     val scorer = new ClaspScorer(150 - 8 + 1, 3)
-    val res = scorer.score(knn, 0, 8, ScoreFunction.MacroF1)
-    assert(res.bestZeroCount >= 1)
-    for (zc <- Seq(1, res.bestZeroCount, scorer.numSplits)) {
-      scorer.scoreAt(knn, 0, 8, ScoreFunction.MacroF1, zc)
-      val naive = Reference.naiveYPred(knn, 0, zc)
+    for (exclRadius <- Seq(1, 3, 5)) {
+      val res = scorer.score(knn, 0, 8, ScoreFunction.MacroF1, exclRadius = exclRadius)
+      assert(res.bestZeroCount >= 1)
+      val naive = Reference.naiveYPred(knn, 0, res.bestZeroCount)
       val got = (0 until res.numSubseq).map(scorer.yPred(_))
-      assert(got == naive, s"zc=$zc")
+      assert(got == naive, s"exclRadius=$exclRadius zc=${res.bestZeroCount}")
+      assert(got.contains(0) && got.contains(1))
     }
   }
 

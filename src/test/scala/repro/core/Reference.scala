@@ -91,7 +91,9 @@ object Reference {
     }.toVector
   }
 
-  /** Naive predicted labels at a specific split (for validating `scoreAt`). */
+  /** Naive predicted labels at a specific split (for validating the labels
+    * `ClaspScorer.score` leaves at its best split).
+    */
   def naiveYPred(knn: StreamingKnn, scopeStart: Int, zc: Int): Vector[Int] = {
     val m = knn.numRows - scopeStart
     val base = knn.windowStart + scopeStart

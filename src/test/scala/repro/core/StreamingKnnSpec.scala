@@ -16,7 +16,8 @@ class StreamingKnnSpec extends SparkSpec {
     xs.foreach { x =>
       knn.update(x)
       t += 1
-      if (targets.contains(t) && knn.ready) {
+      if (targets.contains(t)) {
+        assert(knn.ready, s"t=$t: not ready at a checkpoint")
         val expected = Reference.expectedRows(xs, t, d, w, k)
         assert(knn.numRows == expected.size, s"t=$t rows=${knn.numRows} vs ${expected.size}")
         var i = 0
@@ -46,7 +47,10 @@ class StreamingKnnSpec extends SparkSpec {
 
   test("matches the naive reference on gaussian noise (before the window fills)") {
     val xs = Reference.Signals.gaussian(110, 1)
-    checkAgainstReference(xs, d = 120, w = 8, k = 3, checkAt = Seq(40, 60, 90, 110))
+    // The first ready step (w + 2*excl + k - 2 points, excl = 12): the
+    // rows grown from the first subsequence on must already be exact.
+    val gateLen = 8 + 2 * 12 + 3 - 2
+    checkAgainstReference(xs, d = 120, w = 8, k = 3, checkAt = Seq(gateLen, 40, 60, 90, 110))
   }
 
   test("matches the naive reference on gaussian noise (with eviction)") {
