@@ -1,45 +1,20 @@
 package repro.core
 
-/** Configuration of the ClaSS segmenter (paper defaults from Subsection 4.2).
+/** Configuration of the ClaSS segmenter: the paper's parameters with its
+  * defaults (Subsection 4.2) and the resampling seed. The stabilisers this
+  * repo adds on top of Algorithm 1 are fixed members, not options (see
+  * EXPERIMENTS.md, "Documented algorithmic deviations").
   *
   * @param d             sliding window size (paper default 10k; this repo's
   *                      scaled corpus uses 2k, see DESIGN.md §6)
   * @param k             neighbours in the streaming k-NN (default 3)
   * @param width         subsequence width; `None` learns it with SuSS from the
-  *                      first `d` observations (default)
+  *                      first [[effectiveWarmup]] observations (default)
   * @param scoreFunction split score (default macro F1)
   * @param significance  Wilcoxon significance level (default 1e-50)
   * @param sampleSize    resample size for the significance test (default 1k;
   *                      `<= 0` uses the variable full sample)
   * @param seed          RNG seed for the resampling draw
-  * @param minScore      minimum cross-validation score a split must reach
-  *                      before the significance test may report it. Inherited
-  *                      from batch ClaSP's score-threshold CP validation
-  *                      (claspy default 0.75): the paper's own "negative
-  *                      offsets belong to class zero" rule gives old
-  *                      subsequences a persistent zero bias, so on
-  *                      homogeneous streams the *label-frequency* rank-sum
-  *                      test alone can reach arbitrary significance while the
-  *                      classifier is barely better than chance; gating on
-  *                      classifier quality restores the intended conservatism
-  * @param exclRadius    minimum segment size in window-widths for admissible
-  *                      splits (ClaSP's CP exclusion radius, claspy default
-  *                      5) — keeps the stale left-edge label block from
-  *                      masquerading as a segment
-  * @param confirmSteps  consecutive observations for which the detection
-  *                      condition (score and significance) must hold before a
-  *                      CP is reported. A genuine change's evidence ramps up
-  *                      monotonically as its segment grows, while marginal
-  *                      false positives pass only transiently — a short
-  *                      debounce separates the two at negligible latency
-  *                      (~confirmSteps points)
-  * @param warmupPoints  observations used by SuSS to learn the width;
-  *                      `<= 0` defaults to `min(d, 1000)`. The paper states
-  *                      "the first d observations", but its own benchmark
-  *                      (TSSB, median length 3.5k, d = 10k) contains mostly
-  *                      series shorter than `d` that ClaSS still segments —
-  *                      so width learning must complete before the window
-  *                      fills; we cap it at 1000 points
   */
 final case class ClaSSConfig(
     d: Int = 2000,
@@ -49,15 +24,42 @@ final case class ClaSSConfig(
     significance: Double = 1e-50,
     sampleSize: Int = 1000,
     seed: Long = 7L,
-    warmupPoints: Int = -1,
-    minScore: Double = 0.75,
-    exclRadius: Int = 5,
-    confirmSteps: Int = 10,
 ) {
   require(d >= 200, s"sliding window too small: $d")
   ScoreFunction.validate(scoreFunction)
-  /** Number of observations buffered before the width is learned. */
-  def effectiveWarmup: Int = if (warmupPoints > 0) math.min(warmupPoints, d) else math.min(d, 1000)
+
+  /** Minimum cross-validation score a split must reach before the
+    * significance test may report it. Inherited from batch ClaSP's
+    * score-threshold CP validation (claspy default 0.75): the paper's own
+    * "negative offsets belong to class zero" rule gives old subsequences a
+    * persistent zero bias, so on homogeneous streams the *label-frequency*
+    * rank-sum test alone can reach arbitrary significance while the
+    * classifier is barely better than chance; gating on classifier quality
+    * restores the intended conservatism.
+    */
+  final val minScore = 0.75
+
+  /** Minimum segment size in window-widths for admissible splits (ClaSP's CP
+    * exclusion radius, claspy default 5): keeps the stale left-edge label
+    * block from masquerading as a segment.
+    */
+  final val exclRadius = 5
+
+  /** Consecutive observations for which the detection condition (score and
+    * significance) must hold before a CP is reported. A genuine change's
+    * evidence ramps up monotonically as its segment grows, while marginal
+    * false positives pass only transiently: a short debounce separates the
+    * two at negligible latency (~confirmSteps points).
+    */
+  final val confirmSteps = 10
+
+  /** Observations SuSS learns the width from. The paper states "the first d
+    * observations", but its own benchmark (TSSB, median length 3.5k,
+    * d = 10k) contains mostly series shorter than `d` that ClaSS still
+    * segments, so width learning must complete before the window fills; it
+    * is capped at 1000 points.
+    */
+  def effectiveWarmup: Int = math.min(d, 1000)
   /** Widest admissible subsequence: the k-NN warm-up (w + 2·(3/2·w) + k points)
     * must fit the window with room to spare; d/10 also matches the paper's
     * guidance that the window should span 10–100 pattern instances.
@@ -96,14 +98,13 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
   private var passStreak: Int = 0 // consecutive steps the detection held
   private var lastFinite: Double = 0.0
   private var missing: Long = 0L
+  private var seen: Long = 0L
 
   /** The learned (or configured) subsequence width; -1 before warm-up ends. */
   def width: Int = w
 
   /** Total observations ingested so far. */
-  def observed: Long = if (knn == null) warmupLen.toLong else knnObserved
-
-  private var knnObserved: Long = 0L
+  def observed: Long = seen
 
   /** Non-finite readings replaced so far. */
   def missingValues: Long = missing
@@ -111,6 +112,7 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
   override def update(reading: Double): Option[Long] = {
     val x = if (java.lang.Double.isFinite(reading)) { lastFinite = reading; reading }
             else { missing += 1; lastFinite }
+    seen += 1
     if (knn == null) {
       warmup(warmupLen) = x
       warmupLen += 1
@@ -134,7 +136,6 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
 
   private def step(x: Double): Option[Long] = {
     knn.update(x)
-    knnObserved += 1
     if (!knn.ready) return None
     // Clamp the scope to the window: a long-completed segment may have
     // partially slid out already (Definition 4 allows that).

@@ -30,9 +30,6 @@ object MathUtil {
   def normalTwoSidedP(z: Double): Double =
     math.min(1.0, erfc(math.abs(z) / math.sqrt(2.0)))
 
-  /** Standard normal CDF. */
-  def normalCdf(z: Double): Double = 0.5 * erfc(-z / math.sqrt(2.0))
-
   /** Prefix sums: `out(i) = x(0) + … + x(i-1)`, with `out(0) = 0`.
     * `out` must have length `n + 1`; only the first `n` values of `x` are used.
     */

@@ -87,9 +87,6 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
   /** Correlation of neighbour `j` of row `i`. */
   def neighborCorr(i: Int, j: Int): Double = nnCorr(i * k + j)
 
-  /** Copy of the current window contents (oldest first); for width learning. */
-  def windowSnapshot(): Array[Double] = java.util.Arrays.copyOf(win, len)
-
   /** Whether [[correlations]] holds this step's values (true once `len >= w`). */
   def hasCorrelations: Boolean = len >= w
 

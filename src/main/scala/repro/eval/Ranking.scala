@@ -5,7 +5,8 @@ import org.apache.spark.sql.DataFrame
 /** Spark SQL aggregations over the per-(series, method) Covering results —
   * the queries behind Table 3 and the rank/win numbers quoted in the paper's
   * text. The SQL is ANSI-portable on purpose: the tests run the *same query
-  * strings* on DuckDB via [[repro.Oracle]] to validate the Spark results.
+  * strings* on DuckDB (the test-side `repro.Oracle`) to validate the Spark
+  * results.
   */
 object Ranking {
 

@@ -29,9 +29,6 @@ object Sweep {
   val AllMethods: Seq[String] =
     Seq("ClaSS", "FLOSS", "Window", "ChangeFinder", "NEWMA", "BOCD", "DDM", "ADWIN", "HDDM")
 
-  /** Methods evaluated on the archive tier (paper excludes BOCD there). */
-  val ArchiveMethods: Seq[String] = AllMethods.filterNot(_ == "BOCD")
-
   /** Instantiate a fresh segmenter.
     *
     * @param name      method name from [[AllMethods]]

@@ -78,9 +78,13 @@ class ClaSSSpec extends SparkSpec {
       (if (seg % 2 == 0) math.sin(2 * math.Pi * i / p)
        else math.signum(math.sin(2 * math.Pi * i / p)) * 1.8) + 0.08 * rng.nextGaussian()
     }
-    val cps = run(ClaSSConfig(d = 600), xs)
-    assert(cps == cps.sorted)
-    assert(cps.forall(cp => cp > 0 && cp < 6000))
+    // Raw detections: segmentSeries would sort and de-duplicate them.
+    val got = detections(new ClaSS(ClaSSConfig(d = 600)), xs)
+    assert(got.nonEmpty)
+    val cps = got.map(_._1)
+    assert(cps.zip(cps.drop(1)).forall { case (a, b) => a < b }, s"not strictly increasing: $cps")
+    assert(cps.forall(cp => cp > 0 && cp < xs.length), s"out of range: $cps")
+    assert(got.forall { case (cp, at) => at >= cp }, s"reported before its position: $got")
   }
 
   test("learns a plausible width from the warm-up") {

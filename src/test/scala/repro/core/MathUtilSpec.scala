@@ -44,12 +44,6 @@ class MathUtilSpec extends SparkSpec {
     assert(math.abs(ps.head - 1.0) < 1e-7)
   }
 
-  test("normalCdf basics") {
-    assert(math.abs(MathUtil.normalCdf(0.0) - 0.5) < 1e-7)
-    assert(math.abs(MathUtil.normalCdf(1.96) - 0.9750021) < 1e-4)
-    assert(math.abs(MathUtil.normalCdf(-1.96) - 0.0249979) < 1e-4)
-  }
-
   test("prefix sums match naive") {
     val xs = Array(1.0, -2.0, 3.5, 0.0, 4.25)
     val out = new Array[Double](6)

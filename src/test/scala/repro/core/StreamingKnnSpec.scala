@@ -123,13 +123,6 @@ class StreamingKnnSpec extends SparkSpec {
     assert(knn.length == 100)
   }
 
-  test("windowSnapshot returns the buffered points") {
-    val knn = new StreamingKnn(100, 6, 3)
-    val xs = Reference.Signals.gaussian(130, 10)
-    xs.foreach(knn.update)
-    assert(knn.windowSnapshot().toSeq == xs.slice(30, 130).toSeq)
-  }
-
   test("stored correlations are clamped to [-1, 1]") {
     val knn = new StreamingKnn(100, 6, 3)
     Reference.Signals.noisySine(300, 12, 0.0, 11).foreach(knn.update)

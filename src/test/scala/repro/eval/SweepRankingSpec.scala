@@ -63,6 +63,22 @@ class SweepRankingSpec extends SparkSpec {
       Ranking.pairwise(results), Ranking.PairwiseSql, "results" -> results)
   }
 
+  test("oracle rejects column-name mismatches") {
+    import spark.implicits._
+    val df = Seq((1, "a")).toDF("x", "y")
+    intercept[IllegalArgumentException] {
+      repro.Oracle.assertEquivalent(df, "SELECT 1 AS z", "t" -> df)
+    }
+  }
+
+  test("oracle detects wrong results") {
+    import spark.implicits._
+    val df = Seq(Tuple1(1L)).toDF("cnt")
+    intercept[IllegalArgumentException] {
+      repro.Oracle.assertEquivalent(df, "SELECT CAST(2 AS BIGINT) AS cnt", "t" -> df)
+    }
+  }
+
   test("mean ranks average to (numMethods + 1) / 2 per tier") {
     val ranks = Ranking.meanRanks(results).collect()
     val byTier = ranks.groupBy(_.getString(0))
