@@ -31,13 +31,18 @@ final case class SplitScore(bestZeroCount: Int, bestScore: Double, numSubseq: In
   * every hypothetical split of the unsegmented window suffix in `O(k·d)`
   * total (amortized `O(1)` per split).
   *
-  * The ground-truth labelling of two consecutive splits differs in exactly
-  * one subsequence; the scorer flips that one label, pushes the delta through
-  * the reverse-NN lists into the per-subsequence label counts, predictions
-  * and the confusion matrix, and reads each split's score off the confusion
-  * matrix in constant time. A prediction only ever moves 1 -> 0, so the
-  * sweep records the split at which each one turns 0; the labels at the best
-  * split (for the significance test) follow from those in one pass.
+  * At split `zc` the first `zc` subsequences of the scope are labelled 0 and
+  * the rest 1; a neighbour before the scope is always 0. So a neighbour at
+  * local position `L` votes 0 exactly when `L < zc`, and subsequence `j`,
+  * which predicts 0 once `h = ceil(k/2)` of its `k` neighbours vote 0,
+  * predicts 0 from its turn point `max(0, L_h + 1)` on, where `L_h` is the
+  * h-th smallest local position among its neighbours. One pass over the rows
+  * sorts each row's neighbour positions, stores the turn point and counts it
+  * at its split. From one split to the next, the one subsequence whose true
+  * label flips moves its confusion cell, and the subsequences that turn at
+  * the new split move their prediction 1 -> 0; each split's score is read off
+  * the confusion matrix in constant time. The labels at the best split (for
+  * the significance test) follow from the turn points in one pass.
   *
   * All buffers are preallocated to `maxRows` and reused across calls — the
   * scorer runs once per stream observation, so per-call allocation would
@@ -45,17 +50,17 @@ final case class SplitScore(bestZeroCount: Int, bestScore: Double, numSubseq: In
   */
 final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
 
-  // Per local subsequence: during `score`, the split at which its predicted
-  // label turns 0 (0 = from the start, `Int.MaxValue` = not yet); afterwards,
-  // its label at the best split.
+  // Per local subsequence: during `score`, its turn point (the first split at
+  // which its predicted label is 0); afterwards, its label at the best split.
   private val yPredArr = new Array[Int](maxRows)
-  // Zero-labelled neighbours per subsequence (local scope indexing).
-  private val count0 = new Array[Int](maxRows)
-  // Reverse-NN lists in CSR layout: neighbours-of lists for each local index.
-  private val revOff = new Array[Int](maxRows + 1)
-  private val revDst = new Array[Int](maxRows * k)
-  private val revFill = new Array[Int](maxRows)
-  // Optional profile capture (tests, visualization, FLOSS-style inspection).
+  // Per split: how many subsequences turn 0 there while their own true label
+  // is still 1 (`j >= zc`), and how many turn while it is already 0.
+  private val turnsRight = new Array[Int](maxRows + 1)
+  private val turnsLeft = new Array[Int](maxRows + 1)
+  // One row's local neighbour positions, ascending.
+  private val sortedPos = new Array[Int](k)
+  // ClaSP profile, written on every sweep; the tests compare it with the
+  // naive recomputation.
   private val profileArr = new Array[Double](maxRows)
   private var profileLen = 0
 
@@ -101,46 +106,27 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     profileLen = 0
     if (zMax < 1 || zcLo > zcHi) return SplitScore(-1, 0.0, math.max(0, m))
 
-    // --- initial configuration: every in-scope label is 1 ------------------
+    // --- turn points and the confusion matrix n[trueLabel][predLabel] at
+    // split 0, where every in-scope label is 1 -------------------------------
     val scopeBasePos = knn.windowStart + scopeStart
-    var j = 0
-    while (j < m) { count0(j) = 0; revFill(j) = 0; j += 1 }
-    java.util.Arrays.fill(revOff, 0, m + 1, 0)
-
-    // Count out-of-scope (class-0) neighbours; size reverse lists.
-    j = 0
-    while (j < m) {
-      var t = 0
-      while (t < k) {
-        val local = knn.neighborPos(scopeStart + j, t) - scopeBasePos
-        if (local < 0) count0(j) += 1 else revOff(local + 1) += 1
-        t += 1
-      }
-      j += 1
-    }
-    j = 0
-    while (j < m) { revOff(j + 1) += revOff(j); j += 1 }
-    j = 0
-    while (j < m) {
-      var t = 0
-      while (t < k) {
-        val local = knn.neighborPos(scopeStart + j, t) - scopeBasePos
-        if (local >= 0) {
-          revDst(revOff(local) + revFill(local)) = j
-          revFill(local) += 1
-        }
-        t += 1
-      }
-      j += 1
-    }
-
-    // Initial predictions and confusion matrix n[trueLabel][predLabel].
-    val Never = Int.MaxValue
+    val h = (k + 1) / 2 // 2 * zeros >= k
+    java.util.Arrays.fill(turnsRight, 0, zMax + 1, 0)
+    java.util.Arrays.fill(turnsLeft, 0, zMax + 1, 0)
     var n11 = 0; var n10 = 0; var n01 = 0; var n00 = 0
-    j = 0
+    var j = 0
     while (j < m) {
-      // all true labels start as 1
-      if (2 * count0(j) >= k) { yPredArr(j) = 0; n10 += 1 } else { yPredArr(j) = Never; n11 += 1 }
+      var t = 0
+      while (t < k) { // insertion sort of the row's local neighbour positions
+        val local = knn.neighborPos(scopeStart + j, t) - scopeBasePos
+        var s = t
+        while (s > 0 && sortedPos(s - 1) > local) { sortedPos(s) = sortedPos(s - 1); s -= 1 }
+        sortedPos(s) = local
+        t += 1
+      }
+      val turn = math.max(0, sortedPos(h - 1) + 1)
+      yPredArr(j) = turn
+      if (turn == 0) n10 += 1 else n11 += 1
+      if (turn <= zMax) { if (j >= turn) turnsRight(turn) += 1 else turnsLeft(turn) += 1 }
       j += 1
     }
 
@@ -157,21 +143,12 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     var bestScore = Double.NegativeInfinity
     var zc = 1
     while (zc <= zMax) {
-      val flip = zc - 1
-      // The flipped subsequence's own (true, pred) cell moves rows 1 -> 0.
-      if (yPredArr(flip) == Never) { n11 -= 1; n01 += 1 } else { n10 -= 1; n00 += 1 }
-      // Every subsequence that has `flip` among its k-NN sees one more zero.
-      var r = revOff(flip)
-      val rEnd = revOff(flip + 1)
-      while (r < rEnd) {
-        val idx = revDst(r)
-        count0(idx) += 1
-        if (yPredArr(idx) == Never && 2 * count0(idx) >= k) { // pred can only move 1 -> 0
-          if (idx >= zc) { n11 -= 1; n10 += 1 } else { n01 -= 1; n00 += 1 }
-          yPredArr(idx) = zc
-        }
-        r += 1
-      }
+      // The flipped subsequence's (true, pred) cell moves rows 1 -> 0; its
+      // prediction is still the one of split zc - 1.
+      if (yPredArr(zc - 1) >= zc) { n11 -= 1; n01 += 1 } else { n10 -= 1; n00 += 1 }
+      // Predictions that turn 1 -> 0 at this split.
+      n11 -= turnsRight(zc); n10 += turnsRight(zc)
+      n01 -= turnsLeft(zc); n00 += turnsLeft(zc)
       val s = currentScore()
       profileArr(zc) = s
       if (zc >= zcLo && zc <= zcHi && s > bestScore) { bestScore = s; bestZc = zc }

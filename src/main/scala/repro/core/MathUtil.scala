@@ -85,20 +85,4 @@ object MathUtil {
     }
     out
   }
-
-  /** Pearson correlation of two equal-length arrays (naive; reference/tests). */
-  def pearson(a: Array[Double], b: Array[Double]): Double = {
-    require(a.length == b.length && a.nonEmpty, "pearson needs equal non-empty arrays")
-    val n = a.length
-    var sa = 0.0; var sb = 0.0; var saa = 0.0; var sbb = 0.0; var sab = 0.0
-    var i = 0
-    while (i < n) {
-      sa += a(i); sb += b(i); saa += a(i) * a(i); sbb += b(i) * b(i); sab += a(i) * b(i)
-      i += 1
-    }
-    val ma = sa / n; val mb = sb / n
-    val va = saa / n - ma * ma; val vb = sbb / n - mb * mb
-    if (va <= 0.0 || vb <= 0.0) 0.0
-    else (sab / n - ma * mb) / math.sqrt(va * vb)
-  }
 }

@@ -59,6 +59,17 @@ class ClaspScorerSpec extends SparkSpec {
     compareWithNaive(xs, 120, 7, 1, Seq(0, 3), ScoreFunction.MacroF1)
   }
 
+  test("incremental profile equals the naive recomputation (k = 2)") {
+    // Even k: a subsequence predicts 0 on a tie (2 * zeros >= k).
+    val xs = Reference.Signals.gaussian(280, 37)
+    compareWithNaive(xs, 130, 7, 2, Seq(0, 4, 19), ScoreFunction.MacroF1)
+  }
+
+  test("incremental profile equals the naive recomputation (k = 4)") {
+    val xs = Reference.Signals.twoRegimes(360, 180, 17, 43, 0.1, 38)
+    compareWithNaive(xs, 160, 8, 4, Seq(0, 6, 25), ScoreFunction.Accuracy)
+  }
+
   test("incremental profile equals the naive recomputation (k = 5)") {
     val xs = Reference.Signals.gaussian(320, 26)
     compareWithNaive(xs, 150, 7, 5, Seq(0, 11), ScoreFunction.MacroF1)

@@ -48,7 +48,25 @@ object Reference {
   def corrAt(xs: Array[Double], a: Int, b: Int, w: Int): Double = {
     val sa = java.util.Arrays.copyOfRange(xs, a, a + w)
     val sb = java.util.Arrays.copyOfRange(xs, b, b + w)
-    math.max(-1.0, math.min(1.0, MathUtil.pearson(sa, sb)))
+    math.max(-1.0, math.min(1.0, pearson(sa, sb)))
+  }
+
+  /** Pearson correlation of two equal-length arrays, `0` when either is
+    * constant.
+    */
+  def pearson(a: Array[Double], b: Array[Double]): Double = {
+    require(a.length == b.length && a.nonEmpty, "pearson needs equal non-empty arrays")
+    val n = a.length
+    var sa = 0.0; var sb = 0.0; var saa = 0.0; var sbb = 0.0; var sab = 0.0
+    var i = 0
+    while (i < n) {
+      sa += a(i); sb += b(i); saa += a(i) * a(i); sbb += b(i) * b(i); sab += a(i) * b(i)
+      i += 1
+    }
+    val ma = sa / n; val mb = sb / n
+    val va = saa / n - ma * ma; val vb = sbb / n - mb * mb
+    if (va <= 0.0 || vb <= 0.0) 0.0
+    else (sab / n - ma * mb) / math.sqrt(va * vb)
   }
 
   /** Naive ClaSP: for a given zero-count `zc`, build the labels from scratch,
