@@ -1,20 +1,11 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.stream.LocalSession
 
 /** Shared SparkSession bootstrap for the spark-submit entrypoints. */
 object JobSession {
-  def create(appName: String): SparkSession = {
-    val s = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(appName)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.ui.enabled", "false")
-      .getOrCreate()
-    s.sparkContext.setLogLevel("WARN")
-    s
-  }
+  def create(appName: String): SparkSession = LocalSession.create(appName)
 
   /** Render a DataFrame as a fixed-width table to stdout (full content). */
   def show(df: org.apache.spark.sql.DataFrame, title: String): Unit = {

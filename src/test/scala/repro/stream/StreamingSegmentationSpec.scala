@@ -94,6 +94,25 @@ class StreamingSegmentationSpec extends SparkSpec {
     }
   }
 
+  test("the operator keeps one state store per core, not one per idle partition") {
+    val session = spark
+    import session.implicits._
+    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
+    val input = MemoryStream[SensorReading]
+    val query = StreamingSegmentation.changePoints(input.toDS(), cfg)
+      .writeStream.format("memory").queryName("cps_partitions")
+      .outputMode(OutputMode.Append()).start()
+    try {
+      input.addData((0 until 600).map(i => SensorReading("s", i.toLong, math.sin(i / 10.0))))
+      query.processAllAvailable()
+      assert(query.lastProgress.stateOperators.head.numShufflePartitions ==
+        spark.sparkContext.defaultParallelism)
+    } finally {
+      query.stop()
+      spark.sql("DROP TABLE IF EXISTS cps_partitions")
+    }
+  }
+
   test("batch (non-streaming) usage works too") {
     val session = spark
     import session.implicits._
