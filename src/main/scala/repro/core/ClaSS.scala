@@ -8,8 +8,6 @@ package repro.core
   * @param d             sliding window size (paper default 10k; this repo's
   *                      scaled corpus uses 2k, see DESIGN.md §6)
   * @param k             neighbours in the streaming k-NN (default 3)
-  * @param width         subsequence width; `None` learns it with SuSS from the
-  *                      first [[effectiveWarmup]] observations (default)
   * @param scoreFunction split score (default macro F1)
   * @param significance  Wilcoxon significance level (default 1e-50)
   * @param sampleSize    resample size for the significance test (default 1k;
@@ -19,7 +17,6 @@ package repro.core
 final case class ClaSSConfig(
     d: Int = 2000,
     k: Int = 3,
-    width: Option[Int] = None,
     scoreFunction: String = ScoreFunction.MacroF1,
     significance: Double = 1e-50,
     sampleSize: Int = 1000,
@@ -76,10 +73,11 @@ final case class ClaSSConfig(
   * turns the profile maximum into a reported change point. Only the suffix
   * after the last reported change point is scored.
   *
-  * Phases: (1) buffer the first `d` points and learn the subsequence width
-  * with SuSS; (2) replay the buffer through the k-NN so segmentation covers
-  * the stream from its first observation (Subsection 3.4); (3) steady state —
-  * one k-NN update plus one profile sweep per point.
+  * Phases: (1) buffer the first [[ClaSSConfig.effectiveWarmup]] points and
+  * learn the subsequence width with SuSS; (2) replay the buffer through the
+  * k-NN so segmentation covers the stream from its first observation
+  * (Subsection 3.4); (3) steady state — one k-NN update plus one profile
+  * sweep per point.
   *
   * Missing values: a non-finite reading (NaN, ±Inf) is replaced by the last
   * finite one (0.0 before any), so positions stay aligned with the stream;
@@ -93,14 +91,14 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
   private var warmupLen = 0
   private var knn: StreamingKnn = _
   private var scorer: ClaspScorer = _
-  private var w: Int = cfg.width.getOrElse(-1)
+  private var w: Int = -1
   private var lastCp: Long = 0L // absolute position of the last reported CP
   private var passStreak: Int = 0 // consecutive steps the detection held
   private var lastFinite: Double = 0.0
   private var missing: Long = 0L
   private var seen: Long = 0L
 
-  /** The learned (or configured) subsequence width; -1 before warm-up ends. */
+  /** The subsequence width SuSS learned; -1 before warm-up ends. */
   def width: Int = w
 
   /** Total observations ingested so far. */
@@ -118,8 +116,7 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
       warmupLen += 1
       if (warmupLen < cfg.effectiveWarmup) return None
       // Learn the width, then replay the warm-up from the first observation.
-      if (w <= 0) w = Suss.learnWidth(warmup, maxWidth = cfg.maxWidth)
-      w = math.max(3, math.min(w, cfg.maxWidth))
+      w = Suss.learnWidth(warmup, maxWidth = cfg.maxWidth)
       knn = new StreamingKnn(cfg.d, w, cfg.k)
       scorer = new ClaspScorer(cfg.d - w + 1, cfg.k)
       var cp: Option[Long] = None
@@ -140,7 +137,7 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
     // Clamp the scope to the window: a long-completed segment may have
     // partially slid out already (Definition 4 allows that).
     val scopeStart = math.max(0, (lastCp - knn.windowStart).toInt)
-    val split = scorer.score(knn, scopeStart, w, cfg.scoreFunction, exclRadius = cfg.exclRadius)
+    val split = scorer.score(knn, scopeStart, cfg.scoreFunction, exclRadius = cfg.exclRadius)
     if (split.bestZeroCount < 0) { passStreak = 0; return None }
     if (split.bestScore < cfg.minScore) { passStreak = 0; return None }
     val p = Wilcoxon.significanceP(

@@ -83,17 +83,17 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     *
     * @param knn        the streaming k-NN (must be `ready`)
     * @param scopeStart first row of the unsegmented scope
-    * @param w          subsequence width
     * @param f          classification score function
     * @param exclRadius minimum segment size in window-widths: only splits
-    *                   leaving at least `exclRadius * w` points on each side
+    *                   leaving at least `exclRadius * knn.w` points on each side
     *                   compete for the maximum (ClaSP's CP exclusion radius;
     *                   claspy default 5). `1` admits every computable split.
     * @return the best split (or `bestZeroCount = -1` when the scope is too
     *         small for any admissible split)
     */
-  def score(knn: StreamingKnn, scopeStart: Int, w: Int, f: String,
+  def score(knn: StreamingKnn, scopeStart: Int, f: String,
             exclRadius: Int = 1): SplitScore = {
+    val w = knn.w
     val useF1 = f == ScoreFunction.MacroF1
     val m = knn.numRows - scopeStart
     val zMax = m - w - 2 // splits leave w subsequences untouched on each side

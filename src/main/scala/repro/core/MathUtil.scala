@@ -1,8 +1,9 @@
 package repro.core
 
 /** Numeric helpers shared by the segmenters: normal-tail probabilities with
-  * enough dynamic range for the paper's `1e-50` significance level, prefix
-  * sums, and rolling window statistics.
+  * enough dynamic range for the paper's `1e-50` significance level, a
+  * window's standard deviation from its running sums, and sliding-window
+  * minima and maxima.
   */
 object MathUtil {
 
@@ -30,32 +31,12 @@ object MathUtil {
   def normalTwoSidedP(z: Double): Double =
     math.min(1.0, erfc(math.abs(z) / math.sqrt(2.0)))
 
-  /** Prefix sums: `out(i) = x(0) + … + x(i-1)`, with `out(0) = 0`.
-    * `out` must have length `n + 1`; only the first `n` values of `x` are used.
+  /** Population standard deviation of a width-`w` window from the sum and
+    * the sum of squares of its values (floored at 0 against cancellation).
     */
-  def prefixSumsInto(x: Array[Double], n: Int, out: Array[Double]): Unit = {
-    out(0) = 0.0
-    var i = 0
-    while (i < n) { out(i + 1) = out(i) + x(i); i += 1 }
-  }
-
-  /** Prefix sums of squares, same contract as [[prefixSumsInto]]. */
-  def prefixSumsSqInto(x: Array[Double], n: Int, out: Array[Double]): Unit = {
-    out(0) = 0.0
-    var i = 0
-    while (i < n) { out(i + 1) = out(i) + x(i) * x(i); i += 1 }
-  }
-
-  /** Mean of the window `[i, i+w)` from prefix sums. */
-  @inline def windowMean(csum: Array[Double], i: Int, w: Int): Double =
-    (csum(i + w) - csum(i)) / w
-
-  /** Population standard deviation of the window `[i, i+w)` from prefix sums
-    * (floored at 0 against cancellation).
-    */
-  @inline def windowStd(csum: Array[Double], csumSq: Array[Double], i: Int, w: Int): Double = {
-    val m = (csum(i + w) - csum(i)) / w
-    val v = (csumSq(i + w) - csumSq(i)) / w - m * m
+  @inline def windowStd(sum: Double, sumSq: Double, w: Int): Double = {
+    val m = sum / w
+    val v = sumSq / w - m * m
     if (v <= 0.0) 0.0 else math.sqrt(v)
   }
 

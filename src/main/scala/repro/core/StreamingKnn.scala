@@ -7,7 +7,9 @@ package repro.core
   *
   *  (a) computes the Pearson correlations between the newest subsequence and
   *      all others in `O(d)` by maintaining STOMP-style `(w-1)`-length dot
-  *      products across overlapping windows (Equations 1–5),
+  *      products across overlapping windows (Equations 3–5) and each
+  *      subsequence's mean and std from running sums of the window and its
+  *      squares (Equations 1–2), advanced in the loop that reads them,
   *  (b) appends the newest subsequence's k-NN row (top-k over its
   *      predecessors, with an exclusion radius of `3/2·w` against trivial
   *      matches), and
@@ -55,8 +57,6 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
   // q(i): dot of win[i..i+w-2] with win[e..e+w-2] where e = len-w (invariant
   // restored at the end of every update; see Equations 3 and 5).
   private val q = new Array[Double](maxRows)
-  private val csum = new Array[Double](d + 1)
-  private val csumSq = new Array[Double](d + 1)
   private val corrScratch = new Array[Double](maxRows)
 
   // --- k-NN rows (row i <-> window subsequence index i) --------------------
@@ -131,19 +131,29 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     var i = 0
     while (i <= e) { q(i) += win(i + w - 1) * last; i += 1 }
 
-    // Means / stds for every subsequence from fresh prefix sums (Eqs. 1–2).
-    MathUtil.prefixSumsInto(win, len, csum)
-    MathUtil.prefixSumsSqInto(win, len, csumSq)
-    val muE = MathUtil.windowMean(csum, e, w)
-    val sigE = MathUtil.windowStd(csum, csumSq, e, w)
+    // Means / stds (Eqs. 1–2) from running sums of the window and its squares,
+    // added in index order. The newest subsequence's: sums over [0, e), [0, len).
+    var lo = 0.0; var loSq = 0.0
+    i = 0
+    while (i < e) { val v = win(i); lo += v; loSq += v * v; i += 1 }
+    var hi = lo; var hiSq = loSq
+    while (i < len) { val v = win(i); hi += v; hiSq += v * v; i += 1 }
+    val muE = (hi - lo) / w
+    val sigE = MathUtil.windowStd(hi - lo, hiSq - loSq, w)
+    // Subsequence i's: a = sum over [0, i), b = sum over [0, i + w).
+    var a = 0.0; var aSq = 0.0; var b = 0.0; var bSq = 0.0
+    i = 0
+    while (i < w) { val v = win(i); b += v; bSq += v * v; i += 1 }
     i = 0
     while (i <= e) {
-      val mu = MathUtil.windowMean(csum, i, w)
-      val sig = MathUtil.windowStd(csum, csumSq, i, w)
+      val mu = (b - a) / w
+      val sig = MathUtil.windowStd(b - a, bSq - aSq, w)
       val c =
         if (sig <= 0.0 || sigE <= 0.0) 0.0
         else (q(i) - w * mu * muE) / (w * sig * sigE)
       corrScratch(i) = math.max(-1.0, math.min(1.0, c))
+      val u = win(i); a += u; aSq += u * u
+      if (i < e) { val v = win(i + w); b += v; bSq += v * v }
       i += 1
     }
 

@@ -78,7 +78,7 @@ class ClaSSSpec extends SparkSpec {
       (if (seg % 2 == 0) math.sin(2 * math.Pi * i / p)
        else math.signum(math.sin(2 * math.Pi * i / p)) * 1.8) + 0.08 * rng.nextGaussian()
     }
-    // Raw detections: segmentSeries would sort and de-duplicate them.
+    // Raw detections, with the index of the point that reported each.
     val got = detections(new ClaSS(ClaSSConfig(d = 600)), xs)
     assert(got.nonEmpty)
     val cps = got.map(_._1)
@@ -92,18 +92,6 @@ class ClaSSSpec extends SparkSpec {
     val cls = new ClaSS(ClaSSConfig(d = 500))
     xs.foreach(cls.update)
     assert(cls.width >= 10 && cls.width <= 50, s"width ${cls.width}") // d/10 cap
-  }
-
-  test("a configured width overrides learning") {
-    val cls = new ClaSS(ClaSSConfig(d = 500, width = Some(24)))
-    Reference.Signals.noisySine(1500, 30, 0.1, 48).foreach(cls.update)
-    assert(cls.width == 24)
-  }
-
-  test("width is capped at d/10 even when configured larger") {
-    val cls = new ClaSS(ClaSSConfig(d = 500, width = Some(400)))
-    Reference.Signals.noisySine(1500, 30, 0.1, 49).foreach(cls.update)
-    assert(cls.width == 50)
   }
 
   test("series shorter than the warm-up produce no change points") {

@@ -17,7 +17,7 @@ class ClaspScorerSpec extends SparkSpec {
     val scorer = new ClaspScorer(d - w + 1, k)
     scopeStarts.foreach { s0 =>
       val naive = Reference.naiveProfile(knn, s0, w, f == ScoreFunction.MacroF1)
-      val res = scorer.score(knn, s0, w, f)
+      val res = scorer.score(knn, s0, f)
       assert(scorer.numSplits == naive.size, s"scope=$s0 splits ${scorer.numSplits} vs ${naive.size}")
       naive.indices.foreach { idx =>
         val zc = idx + 1
@@ -87,7 +87,7 @@ class ClaspScorerSpec extends SparkSpec {
     val knn = buildKnn(xs, 150, 8, 3)
     val scorer = new ClaspScorer(150 - 8 + 1, 3)
     for (exclRadius <- Seq(1, 3, 5)) {
-      val res = scorer.score(knn, 0, 8, ScoreFunction.MacroF1, exclRadius = exclRadius)
+      val res = scorer.score(knn, 0, ScoreFunction.MacroF1, exclRadius = exclRadius)
       assert(res.bestZeroCount >= 1)
       val naive = Reference.naiveYPred(knn, 0, res.bestZeroCount)
       val got = (0 until res.numSubseq).map(scorer.yPred(_))
@@ -101,7 +101,7 @@ class ClaspScorerSpec extends SparkSpec {
     val knn = buildKnn(xs, 120, 8, 3)
     val scorer = new ClaspScorer(120 - 8 + 1, 3)
     // Scope with fewer than w + 3 subsequences.
-    val res = scorer.score(knn, knn.numRows - 9, 8, ScoreFunction.MacroF1)
+    val res = scorer.score(knn, knn.numRows - 9, ScoreFunction.MacroF1)
     assert(res.bestZeroCount == -1)
     assert(scorer.numSplits == 0)
   }
@@ -110,7 +110,7 @@ class ClaspScorerSpec extends SparkSpec {
     val xs = Reference.Signals.twoRegimes(400, 200, 20, 44, 0.2, 29)
     val knn = buildKnn(xs, 170, 9, 3)
     val scorer = new ClaspScorer(170 - 9 + 1, 3)
-    scorer.score(knn, 0, 9, ScoreFunction.MacroF1)
+    scorer.score(knn, 0, ScoreFunction.MacroF1)
     (1 to scorer.numSplits).foreach { zc =>
       val v = scorer.profile(zc)
       assert(v >= 0.0 && v <= 1.0, s"zc=$zc score=$v")
@@ -122,7 +122,7 @@ class ClaspScorerSpec extends SparkSpec {
     val xs = Reference.Signals.twoRegimes(400, 250, 16, 40, 0.02, 31)
     val knn = buildKnn(xs, 250, 8, 3)
     val scorer = new ClaspScorer(250 - 8 + 1, 3)
-    val res = scorer.score(knn, 0, 8, ScoreFunction.MacroF1)
+    val res = scorer.score(knn, 0, ScoreFunction.MacroF1)
     val peakAbs = knn.windowStart + res.bestZeroCount + 8 - 1
     assert(math.abs(peakAbs - 250) <= 25, s"peak at $peakAbs, truth 250")
     assert(res.bestScore > 0.8, s"score ${res.bestScore}")
@@ -135,8 +135,8 @@ class ClaspScorerSpec extends SparkSpec {
     val knn1 = buildKnn(xs1, d, w, 3)
     val knn2 = buildKnn(xs2, d, w, 3)
     val scorer = new ClaspScorer(d - w + 1, 3)
-    scorer.score(knn1, 0, w, ScoreFunction.MacroF1)
-    val second = scorer.score(knn2, 0, w, ScoreFunction.MacroF1)
+    scorer.score(knn1, 0, ScoreFunction.MacroF1)
+    val second = scorer.score(knn2, 0, ScoreFunction.MacroF1)
     val naive = Reference.naiveProfile(knn2, 0, w, useF1 = true)
     naive.indices.foreach { idx =>
       assert(math.abs(scorer.profile(idx + 1) - naive(idx)) < 1e-9)

@@ -44,42 +44,21 @@ class MathUtilSpec extends SparkSpec {
     assert(math.abs(ps.head - 1.0) < 1e-7)
   }
 
-  test("prefix sums match naive") {
-    val xs = Array(1.0, -2.0, 3.5, 0.0, 4.25)
-    val out = new Array[Double](6)
-    MathUtil.prefixSumsInto(xs, 5, out)
-    assert(out.toSeq == Seq(0.0, 1.0, -1.0, 2.5, 2.5, 6.75))
-  }
-
-  test("prefix sums of squares match naive") {
-    val xs = Array(1.0, -2.0, 3.0)
-    val out = new Array[Double](4)
-    MathUtil.prefixSumsSqInto(xs, 3, out)
-    assert(out.toSeq == Seq(0.0, 1.0, 5.0, 14.0))
-  }
-
-  test("windowMean and windowStd from prefix sums match direct computation") {
+  test("windowStd from running sums matches direct computation") {
     val xs = Reference.Signals.gaussian(200, 1)
-    val csum = new Array[Double](201)
-    val csumSq = new Array[Double](201)
-    MathUtil.prefixSumsInto(xs, 200, csum)
-    MathUtil.prefixSumsSqInto(xs, 200, csumSq)
     for (i <- Seq(0, 17, 150); w <- Seq(5, 20, 50)) {
       val slice = xs.slice(i, i + w)
       val m = slice.sum / w
       val sd = math.sqrt(slice.map(v => (v - m) * (v - m)).sum / w)
-      assert(math.abs(MathUtil.windowMean(csum, i, w) - m) < 1e-9)
-      assert(math.abs(MathUtil.windowStd(csum, csumSq, i, w) - sd) < 1e-7)
+      assert(math.abs(MathUtil.windowStd(slice.sum, slice.map(v => v * v).sum, w) - sd) < 1e-7)
     }
   }
 
   test("windowStd floors tiny negative variance at zero") {
-    val xs = Array.fill(50)(3.14159)
-    val csum = new Array[Double](51)
-    val csumSq = new Array[Double](51)
-    MathUtil.prefixSumsInto(xs, 50, csum)
-    MathUtil.prefixSumsSqInto(xs, 50, csumSq)
-    assert(MathUtil.windowStd(csum, csumSq, 3, 20) == 0.0)
+    val xs = Array.fill(20)(3.14159)
+    val (sum, sumSq) = (xs.sum, xs.map(v => v * v).sum)
+    assert(sumSq / 20 - (sum / 20) * (sum / 20) < 0.0) // cancellation
+    assert(MathUtil.windowStd(sum, sumSq, 20) == 0.0)
   }
 
   test("slidingMin/slidingMax match naive over many random inputs") {

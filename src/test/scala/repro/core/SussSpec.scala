@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.data.SyntheticCorpus
 
 class SussSpec extends SparkSpec {
 
@@ -20,7 +21,7 @@ class SussSpec extends SparkSpec {
 
   test("respects the lower bound") {
     val ts = Reference.Signals.gaussian(600, 3)
-    assert(Suss.learnWidth(ts, lbound = 25) >= 25)
+    assert(Suss.learnWidth(ts) >= Suss.LowerBound)
   }
 
   test("respects maxWidth") {
@@ -49,6 +50,19 @@ class SussSpec extends SparkSpec {
       val ts = Reference.Signals.twoRegimes(900, 450, 25, 60, 0.2, seed.toLong)
       val w = Suss.learnWidth(ts, maxWidth = 100)
       assert(w >= 10 && w <= 100, s"seed=$seed w=$w")
+    }
+  }
+
+  test("golden widths on fixed corpus warm-ups") {
+    // The first series of each dataset of one corpus, cut to ClaSS's warm-up.
+    val cfg = ClaSSConfig()
+    val golden = Seq("TSSB" -> 20, "UTSA" -> 40, "mHealth" -> 50, "ArrDB" -> 42,
+      "VEDB" -> 40, "PAMAP" -> 38, "SleepDB" -> 58, "WESAD" -> 32)
+    val specs = SyntheticCorpus.specs(1)
+    golden.foreach { case (dataset, want) =>
+      val spec = specs.find(_.dataset == dataset).get
+      val warmup = SyntheticCorpus.generate(spec).values.take(cfg.effectiveWarmup)
+      assert(Suss.learnWidth(warmup, maxWidth = cfg.maxWidth) == want, dataset)
     }
   }
 }
