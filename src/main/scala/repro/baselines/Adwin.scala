@@ -10,15 +10,15 @@ import scala.collection.mutable.ArrayBuffer
   * `O(log c)` memory and amortized update). Whenever the means of some
   * old/new sub-window split differ by more than the `delta`-confidence bound
   * `eps_cut`, the old portion is dropped — the drop boundary is the reported
-  * change point.
-  *
-  * @param delta      confidence parameter (paper-tuned value 0.01)
-  * @param maxBuckets buckets kept per size row before merging (classic M=5)
-  * @param minGap     minimum distance between consecutive reported CPs
+  * change point, at least `MinCpGap` after the previous one.
   */
-final class Adwin(delta: Double = 0.01, maxBuckets: Int = 5, minGap: Int = 250)
-    extends StreamSegmenter {
+final class Adwin extends StreamSegmenter {
   override def name: String = "ADWIN"
+
+  /** Confidence parameter of `eps_cut` (paper-tuned value 0.01). */
+  private val delta = 0.01
+  /** Buckets kept per size row before merging (the classic M = 5). */
+  private val maxBuckets = 5
 
   /** One exponential-histogram bucket: `size` observations with given sum and
     * internal variance (sum of squared deviations from the bucket mean).
@@ -31,14 +31,14 @@ final class Adwin(delta: Double = 0.01, maxBuckets: Int = 5, minGap: Int = 250)
   private var total = 0.0
   private var width = 0L
   private var tau = 0L
-  private var lastCp = -1000000000L // far past; avoids tau - lastCp overflow
+  private var lastCp = FarPast
 
   override def update(x: Double): Option[Long] = {
     tau += 1
     insert(x)
     compress()
     val dropped = shrinkIfNeeded()
-    if (dropped && tau - lastCp >= minGap) {
+    if (dropped && tau - lastCp >= MinCpGap) {
       lastCp = tau
       Some(tau - width) // the kept (recent) window starts the new segment
     } else None

@@ -14,14 +14,15 @@ package repro.baselines
   * DDM/HDDM are built to detect. When the detector reports a drift it calls
   * [[reset]], which re-warms the predictor on the new segment — the same
   * "retrain the model after drift" loop these methods assume.
-  *
-  * @param warmDecay  EWMA decay while warming up
-  * @param slowDecay  EWMA decay after warm-up (near-frozen)
-  * @param z          band half-width in running standard deviations
-  * @param warmup     observations before errors are emitted after a (re)start
   */
-final class Binarizer(warmDecay: Double = 0.05, slowDecay: Double = 0.002,
-                      z: Double = 2.5, warmup: Int = 50) extends Serializable {
+final class Binarizer extends Serializable {
+  /** EWMA decay while warming up, and after warm-up (near-frozen). */
+  private val warmDecay = 0.05
+  private val slowDecay = 0.002
+  /** Band half-width in running standard deviations. */
+  private val z = 2.5
+  /** Observations before errors are emitted after a (re)start. */
+  private val warmup = 50
   private var mean = 0.0
   private var varAcc = 1.0
   private var n = 0L

@@ -7,25 +7,23 @@ import repro.core.StreamSegmenter
   * Maintains the posterior over the current run length under a constant
   * hazard and a Normal–Inverse-Gamma conjugate model (Student-t predictive).
   * Following the paper's tuning, a change point is reported when the MAP run
-  * length drops by more than `dropThreshold` in one step; the CP location is
-  * the start of the new run.
+  * length drops by more than `dropThreshold` in one step, at least
+  * `MinCpGap` after the previous one; the CP location is the start of the
+  * new run.
   *
   * The run-length support is truncated at `maxRunLength` (tail mass folds
   * into the last bin) — the paper's untruncated O(n) variant did not finish
   * on the archive tier and is excluded there, which we mirror (DESIGN.md §2).
-  *
-  * @param hazardLambda  expected run length of the geometric prior
-  * @param dropThreshold MAP run-length drop that signals a change
-  * @param maxRunLength  truncation of the run-length posterior
-  * @param minGap        minimum distance between consecutive reported CPs
   */
-final class Bocd(
-    hazardLambda: Double = 250.0,
-    dropThreshold: Int = 150,
-    maxRunLength: Int = 512,
-    minGap: Int = 250,
-) extends StreamSegmenter {
+final class Bocd extends StreamSegmenter {
   override def name: String = "BOCD"
+
+  /** Expected run length of the geometric prior (constant hazard 1/250). */
+  private val hazardLambda = 250.0
+  /** MAP run-length drop in one step that signals a change. */
+  private val dropThreshold = 150
+  /** Truncation of the run-length posterior. */
+  private val maxRunLength = 512
 
   // Normal-Inverse-Gamma hyper-parameters per run length r (index = r).
   private val mu = new Array[Double](maxRunLength + 1)
@@ -36,7 +34,7 @@ final class Bocd(
   private var probs = new Array[Double](maxRunLength + 1)
   private var support = 0 // current max run length represented
   private var tau = 0L
-  private var lastCp = -1000000000L // far past; avoids tau - lastCp overflow
+  private var lastCp = FarPast
   private var prevMap = 0
   // Prior scale learned from the first observations.
   private var warmSum = 0.0
@@ -57,19 +55,20 @@ final class Bocd(
       (df + 1) / 2 * math.log1p(z2 / df)
   }
 
+  /** Lanczos coefficients (g = 7) of `lgamma`. */
+  private val lanczos = Array(0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+    771.32342877765313, -176.61502916214059, 12.507343278686905,
+    -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
   private def lgamma(x: Double): Double = {
     // Lanczos approximation, sufficient accuracy for likelihood ratios.
     val g = 7.0
-    val c = Array(0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-      771.32342877765313, -176.61502916214059, 12.507343278686905,
-      -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
     if (x < 0.5) math.log(math.Pi / math.sin(math.Pi * x)) - lgamma(1 - x)
     else {
       val xx = x - 1
-      var a = c(0)
+      var a = lanczos(0)
       val t = xx + g + 0.5
       var i = 1
-      while (i < 9) { a += c(i) / (xx + i); i += 1 }
+      while (i < 9) { a += lanczos(i) / (xx + i); i += 1 }
       0.5 * math.log(2 * math.Pi) + (xx + 0.5) * math.log(t) - t + math.log(a)
     }
   }
@@ -139,7 +138,7 @@ final class Bocd(
     while (r <= support) { if (probs(r) > best) { best = probs(r); map = r }; r += 1 }
     val drop = prevMap - map
     prevMap = map
-    if (drop > dropThreshold && tau - lastCp >= minGap) {
+    if (drop > dropThreshold && tau - lastCp >= MinCpGap) {
       lastCp = tau
       Some(tau - map - 1)
     } else None

@@ -68,37 +68,32 @@ private[baselines] final class Sdar(order: Int, discount: Double) extends Serial
 /** ChangeFinder (Yamanishi & Takeuchi, KDD 2002).
   *
   * Two-stage SDAR: the first model scores each observation by its log-loss,
-  * the scores are smoothed over `smooth1` points, a second SDAR scores the
-  * smoothed series, and a final `smooth2` average yields the change score.
+  * the scores are smoothed over `smooth` points, a second SDAR scores the
+  * smoothed series, and a second `smooth` average yields the change score.
   * A change point is reported when the score exceeds an adaptive threshold
   * (trailing mean plus `kappa` standard deviations — scale-free across our
-  * heterogeneous corpus, standing in for the paper's tuned fixed threshold).
-  *
-  * @param order    AR order of both SDAR stages
-  * @param discount SDAR discounting factor
-  * @param smooth1  first smoothing window
-  * @param smooth2  second smoothing window
-  * @param kappa    threshold in trailing standard deviations
-  * @param minGap   minimum distance between consecutive reported CPs
+  * heterogeneous corpus, standing in for the paper's tuned fixed threshold),
+  * at least `MinCpGap` after the previous one.
   */
-final class ChangeFinder(
-    order: Int = 2,
-    discount: Double = 0.01,
-    smooth1: Int = 7,
-    smooth2: Int = 7,
-    kappa: Double = 6.0,
-    minGap: Int = 250,
-) extends StreamSegmenter {
+final class ChangeFinder extends StreamSegmenter {
   override def name: String = "ChangeFinder"
+
+  /** AR order and discounting factor of both SDAR stages. */
+  private val order = 2
+  private val discount = 0.01
+  /** Window of both smoothing stages. */
+  private val smooth = 7
+  /** Threshold in trailing standard deviations of the score. */
+  private val kappa = 6.0
 
   private val stage1 = new Sdar(order, discount)
   private val stage2 = new Sdar(order, discount)
-  private val buf1 = new Array[Double](smooth1)
-  private val buf2 = new Array[Double](smooth2)
+  private val buf1 = new Array[Double](smooth)
+  private val buf2 = new Array[Double](smooth)
   private var n1 = 0L
   private var n2 = 0L
   private var tau = 0L
-  private var lastCp = -1000000000L // far past; avoids tau - lastCp overflow
+  private var lastCp = FarPast
   // Trailing moments of the final score for the adaptive threshold.
   private var scoreMean = 0.0
   private var scoreVar = 1.0
@@ -109,19 +104,19 @@ final class ChangeFinder(
   override def update(x: Double): Option[Long] = {
     tau += 1
     val s1 = stage1.update(x)
-    buf1((n1 % smooth1).toInt) = s1
+    buf1((n1 % smooth).toInt) = s1
     n1 += 1
-    if (n1 < smooth1) return None
-    val sm1 = buf1.sum / smooth1
+    if (n1 < smooth) return None
+    val sm1 = buf1.sum / smooth
     val s2 = stage2.update(sm1)
-    buf2((n2 % smooth2).toInt) = s2
+    buf2((n2 % smooth).toInt) = s2
     n2 += 1
-    if (n2 < smooth2) return None
-    val score = buf2.sum / smooth2
+    if (n2 < smooth) return None
+    val score = buf2.sum / smooth
 
     scoreN += 1
     var detected = false
-    if (scoreN > warmup && tau - lastCp >= minGap) {
+    if (scoreN > warmup && tau - lastCp >= MinCpGap) {
       val sd = math.sqrt(math.max(scoreVar, 1e-12))
       if (score > scoreMean + kappa * sd) detected = true
     }

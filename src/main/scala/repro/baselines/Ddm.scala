@@ -8,17 +8,16 @@ import repro.core.StreamSegmenter
   * [[Binarizer]]) predictor together with its binomial standard deviation
   * `s_t = sqrt(p_t (1-p_t) / t)`. The minimum of `p + s` is tracked; when the
   * current `p_t + s_t` exceeds `p_min + driftLevel * s_min` a drift — i.e. a
-  * change point ending the last segment — is reported and the statistics
-  * reset. `O(1)` per observation.
-  *
-  * @param driftLevel   number of `s_min` above `p_min` that triggers a drift
-  *                     (classic value 3)
-  * @param minInstances observations after a reset before testing again
-  * @param minGap       minimum distance between consecutive reported CPs
+  * change point ending the last segment — is reported, at least `MinCpGap`
+  * after the previous one, and the statistics reset. `O(1)` per observation.
   */
-final class Ddm(driftLevel: Double = 3.0, minInstances: Int = 30, minGap: Int = 250)
-    extends StreamSegmenter {
+final class Ddm extends StreamSegmenter {
   override def name: String = "DDM"
+
+  /** Number of `s_min` above `p_min` that triggers a drift (classic value 3). */
+  private val driftLevel = 3.0
+  /** Observations after a reset before testing again. */
+  private val minInstances = 30
 
   private val binarizer = new Binarizer()
   private var n = 0L          // observations since last reset
@@ -26,7 +25,7 @@ final class Ddm(driftLevel: Double = 3.0, minInstances: Int = 30, minGap: Int = 
   private var pMin = Double.PositiveInfinity
   private var sMin = Double.PositiveInfinity
   private var tau = 0L        // absolute stream position
-  private var lastCp = -1000000000L // far past; avoids tau - lastCp overflow
+  private var lastCp = FarPast
 
   override def update(x: Double): Option[Long] = {
     val err = binarizer.update(x)
@@ -39,7 +38,7 @@ final class Ddm(driftLevel: Double = 3.0, minInstances: Int = 30, minGap: Int = 
     val p = (errors + 1).toDouble / (n + 2)
     val s = math.sqrt(p * (1 - p) / n)
     if (p + s < pMin + sMin) { pMin = p; sMin = s }
-    if (p + s > pMin + driftLevel * sMin && tau - lastCp >= minGap) {
+    if (p + s > pMin + driftLevel * sMin && tau - lastCp >= MinCpGap) {
       n = 0; errors = 0
       pMin = Double.PositiveInfinity; sMin = Double.PositiveInfinity
       binarizer.reset() // re-warm the self-predictor on the new segment

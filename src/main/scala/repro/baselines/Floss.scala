@@ -24,12 +24,12 @@ import repro.core.{StreamSegmenter, StreamingKnn}
   *
   * @param d         sliding window size
   * @param widthHint subsequence width (the paper takes it from annotations)
-  * @param threshold CAC valley threshold
   */
-final class Floss(d: Int = 2000, widthHint: Int = 20, threshold: Double = 0.45)
-    extends StreamSegmenter {
+final class Floss(d: Int, widthHint: Int) extends StreamSegmenter {
   override def name: String = "FLOSS"
 
+  /** CAC valley threshold (paper-tuned 0.45). */
+  private val threshold = 0.45
   private val w = math.max(3, math.min(widthHint, d / 10))
   private val knn = new StreamingKnn(d, w, 1)
   private val maxRows = d - w + 1
@@ -42,14 +42,12 @@ final class Floss(d: Int = 2000, widthHint: Int = 20, threshold: Double = 0.45)
   private var nRows = 0
 
   private val crossings = new Array[Int](maxRows + 2)
-  private var tau = 0L
-  private var lastCp = -1000000000L
+  private var lastCp = FarPast
   private val exclusionZone = 5 * w
 
   override def update(x: Double): Option[Long] = {
     val willEvict = knn.length == d
     knn.update(x)
-    tau += 1
     if (!knn.hasCorrelations) return None
     val e = knn.newestIndex
 

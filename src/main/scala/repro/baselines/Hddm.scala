@@ -9,14 +9,14 @@ import repro.core.StreamSegmenter
   * stream and remembers the prefix cut that minimizes `mean + eps`, where
   * `eps = sqrt(ln(1/alpha) / (2 n))` is the one-sided Hoeffding radius. A
   * drift is flagged when the post-cut sample mean exceeds the pre-cut mean by
-  * more than the two-sample Hoeffding bound at confidence `alpha`. `O(1)` per
-  * observation.
-  *
-  * @param alpha  drift confidence (smaller = fewer reported drifts)
-  * @param minGap minimum distance between consecutive reported CPs
+  * more than the two-sample Hoeffding bound at confidence `alpha`, at least
+  * `MinCpGap` after the previous drift. `O(1)` per observation.
   */
-final class Hddm(alpha: Double = 0.001, minGap: Int = 250) extends StreamSegmenter {
+final class Hddm extends StreamSegmenter {
   override def name: String = "HDDM"
+
+  /** Drift confidence (smaller = fewer reported drifts). */
+  private val alpha = 0.001
 
   private val binarizer = new Binarizer()
   private var n = 0L
@@ -25,7 +25,7 @@ final class Hddm(alpha: Double = 0.001, minGap: Int = 250) extends StreamSegment
   private var cutSum = 0.0
   private var cutBound = Double.PositiveInfinity
   private var tau = 0L
-  private var lastCp = -1000000000L // far past; avoids tau - lastCp overflow
+  private var lastCp = FarPast
 
   private def reset(): Unit = {
     n = 0; sum = 0.0; cutN = 0; cutSum = 0.0; cutBound = Double.PositiveInfinity
@@ -40,7 +40,7 @@ final class Hddm(alpha: Double = 0.001, minGap: Int = 250) extends StreamSegment
     val eps = math.sqrt(math.log(1.0 / alpha) / (2.0 * n))
     if (mean + eps < cutBound) { cutBound = mean + eps; cutN = n; cutSum = sum }
     val recentN = n - cutN
-    if (cutN >= 5 && recentN >= 5 && tau - lastCp >= minGap) {
+    if (cutN >= 5 && recentN >= 5 && tau - lastCp >= MinCpGap) {
       val preMean = cutSum / cutN
       val postMean = (sum - cutSum) / recentN
       val bound = math.sqrt(

@@ -8,35 +8,29 @@ import repro.core.{Rng, StreamSegmenter}
   * Embeds the recent signal (a short delay vector) through random Fourier
   * features and tracks two EWMAs of the features with different forgetting
   * factors. Their distance concentrates when the generating distribution is
-  * stable and spikes after a change; an adaptive quantile threshold over the
-  * trailing statistic decides detection. `O(c)` per observation with
-  * `c = embedDim * rffDim`.
+  * stable and spikes after a change; a margin over the trailing maximum of
+  * the statistic (the paper's tuning chose the 1.0-quantile) decides
+  * detection, at least `MinCpGap` after the previous CP. `O(c)` per
+  * observation with `c = embedDim * rffDim`.
   *
-  * @param embedDim   delay-embedding dimension
-  * @param rffDim     number of random Fourier features
-  * @param lambdaFast fast forgetting factor
-  * @param lambdaSlow slow forgetting factor
-  * @param quantile   trailing quantile used as adaptive threshold (the paper's
-  *                   tuning chose 1.0 = trailing max)
-  * @param factor     multiplicative margin on the quantile: under stationarity
-  *                   the statistic concentrates, so fresh maxima exceed the
-  *                   trailing max only marginally, while a genuine change
-  *                   multiplies it — the margin suppresses the former
-  * @param buffer     trailing statistics kept for the quantile
-  * @param minGap     minimum distance between consecutive reported CPs
+  * @param seed seed of the random Fourier features
   */
-final class Newma(
-    embedDim: Int = 16,
-    rffDim: Int = 48,
-    lambdaFast: Double = 0.10,
-    lambdaSlow: Double = 0.025,
-    quantile: Double = 1.0,
-    factor: Double = 1.25,
-    buffer: Int = 500,
-    minGap: Int = 250,
-    seed: Long = 13L,
-) extends StreamSegmenter {
+final class Newma(seed: Long = 13L) extends StreamSegmenter {
   override def name: String = "NEWMA"
+
+  /** Delay-embedding dimension. */
+  private val embedDim = 16
+  /** Number of random Fourier features. */
+  private val rffDim = 48
+  /** Fast and slow forgetting factors. */
+  private val lambdaFast = 0.10
+  private val lambdaSlow = 0.025
+  /** Margin on the trailing max: under stationarity fresh maxima exceed it
+    * only marginally, while a genuine change multiplies it.
+    */
+  private val factor = 1.25
+  /** Trailing statistics kept for the threshold. */
+  private val buffer = 500
 
   private val rng = new Rng(seed)
   private val wMat = Array.fill(rffDim * embedDim)(rng.nextGaussian())
@@ -53,11 +47,11 @@ final class Newma(
   // statistic ramps gradually after a change, and an un-lagged buffer would
   // chase it so the threshold is never exceeded.
   private val lag = 100
-  private val pending = new Array[Double](100)
+  private val pending = new Array[Double](lag)
   private var pendingFill = 0
   private var pendingIdx = 0
   private var tau = 0L
-  private var lastCp = -1000000000L // far past; avoids tau - lastCp overflow
+  private var lastCp = FarPast
   private var scale = 1.0
   private var scaleSum = 0.0
   private var scaleSumSq = 0.0
@@ -95,8 +89,8 @@ final class Newma(
     dist = math.sqrt(dist)
 
     var detected = false
-    if (statsFill >= buffer / 2 && tau - lastCp >= minGap) {
-      val threshold = factor * trailingQuantile()
+    if (statsFill >= buffer / 2 && tau - lastCp >= MinCpGap) {
+      val threshold = factor * trailingMax()
       if (dist > threshold) detected = true
     }
     // Route through the lag queue before the threshold buffer.
@@ -113,10 +107,10 @@ final class Newma(
     if (detected) { lastCp = tau; Some(tau - 1) } else None
   }
 
-  private def trailingQuantile(): Double = {
-    val copy = java.util.Arrays.copyOf(stats, statsFill)
-    java.util.Arrays.sort(copy)
-    val idx = math.min(statsFill - 1, math.max(0, math.ceil(quantile * statsFill).toInt - 1))
-    copy(idx)
+  private def trailingMax(): Double = {
+    var max = stats(0)
+    var i = 1
+    while (i < statsFill) { max = math.max(max, stats(i)); i += 1 }
+    max
   }
 }

@@ -9,23 +9,22 @@ import repro.core.StreamSegmenter
   * centre split with the autoregressive cost gain
   * `(cost(full) - cost(left) - cost(right)) / cost(full)`, where `cost` is
   * the residual sum of squares of a least-squares AR(1) fit. A gain above
-  * `threshold` (paper-tuned 0.2) reports the centre as a change point.
-  * `O(c)` per observation.
+  * `threshold` reports the centre as a change point, at least `c / 2` after
+  * the previous one. `O(c)` per observation.
   *
   * @param widthHint annotated subsequence width of the series
-  * @param threshold relative cost-gain threshold
   */
-final class WindowSegmenter(widthHint: Int, threshold: Double = 0.2)
-    extends StreamSegmenter {
+final class WindowSegmenter(widthHint: Int) extends StreamSegmenter {
   override def name: String = "Window"
 
+  /** Relative cost-gain threshold (paper-tuned 0.2). */
+  private val threshold = 0.2
   private val c = math.max(40, 10 * widthHint)
   private val half = c / 2
   private val buf = new Array[Double](c)
   private var fill = 0
   private var tau = 0L
-  private var lastCp = -1000000000L // far past; avoids tau - lastCp overflow
-  private val minGap = half
+  private var lastCp = FarPast
 
   /** RSS of the least-squares AR(1) fit `x_t ≈ a·x_{t-1} + b` on `buf[lo, hi)`. */
   private def arCost(lo: Int, hi: Int): Double = {
@@ -56,7 +55,7 @@ final class WindowSegmenter(widthHint: Int, threshold: Double = 0.2)
     if (fill < c) { buf(fill) = x; fill += 1; return None }
     System.arraycopy(buf, 1, buf, 0, c - 1)
     buf(c - 1) = x
-    if (tau - lastCp < minGap) return None
+    if (tau - lastCp < half) return None
     val full = arCost(0, c)
     if (full <= 1e-12) return None
     val gain = (full - arCost(0, half) - arCost(half, c)) / full

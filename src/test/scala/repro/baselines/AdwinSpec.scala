@@ -25,21 +25,8 @@ class AdwinSpec extends SparkSpec {
     assert(cps.exists(cp => cp >= 2350 && cp <= 3000), s"cps=$cps")
   }
 
-  test("a smaller delta (stricter) reports no more CPs than a larger one") {
-    val xs = Reference.Signals.meanShift(6000, 3000, 1.5, 1.0, 74)
-    val loose = StreamSegmenter.segmentSeries(new Adwin(delta = 0.5), xs)
-    val strict = StreamSegmenter.segmentSeries(new Adwin(delta = 1e-6), xs)
-    assert(strict.size <= loose.size)
-  }
-
   test("respects the minimum gap") {
-    val rng = new repro.core.Rng(75)
-    val xs = Array.tabulate(8000)(i => (i / 800).toDouble * 2 + rng.nextGaussian())
-    val cps = StreamSegmenter.segmentSeries(new Adwin(minGap = 300), xs)
-    cps.sliding(2).foreach {
-      case Vector(a, b) => assert(b - a >= 300, s"gap ${b - a}")
-      case _            =>
-    }
+    Gaps.assertSpaced(StreamSegmenter.segmentSeries(new Adwin(), Gaps.pulses(75)), MinCpGap)
   }
 
   test("reported positions are within the stream") {

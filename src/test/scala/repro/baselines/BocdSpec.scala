@@ -26,15 +26,8 @@ class BocdSpec extends SparkSpec {
 
   test("run-length truncation keeps the detector numerically alive") {
     val xs = Reference.Signals.gaussian(3000, 104).map(_ * 1e-3) // tiny scale
-    val cps = StreamSegmenter.segmentSeries(new Bocd(maxRunLength = 64), xs)
+    val cps = StreamSegmenter.segmentSeries(new Bocd(), xs) // 3000 points > the 512 cap
     assert(cps.forall(cp => cp > 0 && cp < 3000)) // no crash, sane output
-  }
-
-  test("a larger drop threshold reports no more CPs") {
-    val xs = Reference.Signals.meanShift(5000, 2500, 2.0, 1.0, 105)
-    val loose = StreamSegmenter.segmentSeries(new Bocd(dropThreshold = 30), xs)
-    val strict = StreamSegmenter.segmentSeries(new Bocd(dropThreshold = 400), xs)
-    assert(strict.size <= loose.size)
   }
 
   test("reported positions precede the detection step (retrospective location)") {

@@ -30,13 +30,6 @@ class ChangeFinderSpec extends SparkSpec {
     assert(cps.exists(cp => cp >= 2900 && cp <= 3800), s"cps=$cps")
   }
 
-  test("a higher kappa (stricter threshold) reports no more CPs") {
-    val xs = Reference.Signals.meanShift(6000, 3000, 3.0, 1.0, 94)
-    val loose = StreamSegmenter.segmentSeries(new ChangeFinder(kappa = 2.0), xs)
-    val strict = StreamSegmenter.segmentSeries(new ChangeFinder(kappa = 8.0), xs)
-    assert(strict.size <= loose.size)
-  }
-
   test("SDAR log-loss spikes at an outlier") {
     val sdar = new Sdar(order = 2, discount = 0.02)
     val rng = new repro.core.Rng(95)
@@ -59,12 +52,7 @@ class ChangeFinderSpec extends SparkSpec {
   }
 
   test("respects the minimum gap") {
-    val xs = Reference.Signals.meanShift(6000, 3000, 8.0, 1.0, 97)
-    val cps = StreamSegmenter.segmentSeries(new ChangeFinder(minGap = 500), xs)
-    cps.sliding(2).foreach {
-      case Vector(a, b) => assert(b - a >= 500, s"gap ${b - a}")
-      case _            =>
-    }
+    Gaps.assertSpaced(StreamSegmenter.segmentSeries(new ChangeFinder(), Gaps.pulses(97)), MinCpGap)
   }
 
   test("name is stable") { assert(new ChangeFinder().name == "ChangeFinder") }

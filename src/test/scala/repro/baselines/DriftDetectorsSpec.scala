@@ -25,7 +25,7 @@ class DriftDetectorsSpec extends SparkSpec {
   }
 
   test("binarizer warm-up suppresses early errors") {
-    val b = new Binarizer(warmup = 50)
+    val b = new Binarizer()
     val xs = Reference.Signals.gaussian(50, 63).map(_ * 100) // wild values
     assert(xs.map(b.update).sum == 0)
   }
@@ -53,12 +53,7 @@ class DriftDetectorsSpec extends SparkSpec {
   }
 
   test("DDM respects the minimum gap between reports") {
-    val xs = Reference.Signals.meanShift(5000, 2500, 10.0, 1.0, 66)
-    val cps = StreamSegmenter.segmentSeries(new Ddm(minGap = 400), xs)
-    cps.sliding(2).foreach {
-      case Vector(a, b) => assert(b - a >= 400, s"gap ${b - a}")
-      case _            =>
-    }
+    Gaps.assertSpaced(StreamSegmenter.segmentSeries(new Ddm(), Gaps.pulses(66)), MinCpGap)
   }
 
   test("DDM name is stable") { assert(new Ddm().name == "DDM") }
@@ -73,13 +68,6 @@ class DriftDetectorsSpec extends SparkSpec {
     val cps = StreamSegmenter.segmentSeries(new Hddm(), xs)
     assert(cps.nonEmpty)
     assert(cps.exists(cp => cp >= 2300 && cp <= 3100), s"cps=$cps")
-  }
-
-  test("HDDM with stricter alpha reports no more drifts") {
-    val xs = Reference.Signals.meanShift(6000, 3000, 4.0, 1.0, 69)
-    val loose = StreamSegmenter.segmentSeries(new Hddm(alpha = 0.01), xs)
-    val strict = StreamSegmenter.segmentSeries(new Hddm(alpha = 1e-8), xs)
-    assert(strict.size <= loose.size)
   }
 
   test("HDDM name is stable") { assert(new Hddm().name == "HDDM") }

@@ -25,21 +25,17 @@ class FlossSpec extends SparkSpec {
     assert(cps.size <= 3, s"cps=$cps")
   }
 
-  test("a lower threshold reports no more CPs") {
-    val xs = Reference.Signals.twoRegimes(4000, 2000, 20, 50, 0.15, 124)
-    val loose = StreamSegmenter.segmentSeries(new Floss(500, 20, threshold = 0.7), xs)
-    val strict = StreamSegmenter.segmentSeries(new Floss(500, 20, threshold = 0.1), xs)
-    assert(strict.size <= loose.size)
-  }
-
   test("exclusion zone prevents bursts of nearby reports") {
-    val xs = Reference.Signals.twoRegimes(4000, 2000, 20, 50, 0.1, 125)
-    val w = 20
-    val cps = StreamSegmenter.segmentSeries(new Floss(500, w), xs)
-    cps.sliding(2).foreach {
-      case Vector(a, b) => assert(b - a > 5 * w, s"gap ${b - a}")
-      case _            =>
+    // A sine of period 20 with a 90-point square-wave burst of period 50 at
+    // 1000, 2000 and 3000: each burst is two changes closer than 5·w.
+    val rng = new repro.core.Rng(125)
+    val xs = Array.tabulate(4000) { i =>
+      val base = if (i % 1000 < 90 && i >= 1000) 2.0 * math.signum(math.sin(2 * math.Pi * i / 50))
+                 else math.sin(2 * math.Pi * i / 20)
+      base + 0.05 * rng.nextGaussian()
     }
+    val w = 20
+    Gaps.assertSpaced(StreamSegmenter.segmentSeries(new Floss(500, w), xs), 5 * w + 1)
   }
 
   test("width hint is clamped to d/10") {
@@ -49,5 +45,5 @@ class FlossSpec extends SparkSpec {
     assert(cps.forall(cp => cp > 0 && cp < 3000))
   }
 
-  test("name is stable") { assert(new Floss().name == "FLOSS") }
+  test("name is stable") { assert(new Floss(500, 20).name == "FLOSS") }
 }

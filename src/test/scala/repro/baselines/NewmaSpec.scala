@@ -31,12 +31,7 @@ class NewmaSpec extends SparkSpec {
   }
 
   test("respects the minimum gap") {
-    val xs = Reference.Signals.meanShift(6000, 3000, 8.0, 1.0, 85)
-    val cps = StreamSegmenter.segmentSeries(new Newma(minGap = 500), xs)
-    cps.sliding(2).foreach {
-      case Vector(a, b) => assert(b - a >= 500, s"gap ${b - a}")
-      case _            =>
-    }
+    Gaps.assertSpaced(StreamSegmenter.segmentSeries(new Newma(), Gaps.pulses(85)), MinCpGap)
   }
 
   test("name is stable") { assert(new Newma().name == "NEWMA") }

@@ -30,13 +30,6 @@ class WindowSegmenterSpec extends SparkSpec {
     assert(cps.exists(cp => math.abs(cp - 3000) <= 300), s"cps=$cps")
   }
 
-  test("a higher threshold reports no more CPs") {
-    val xs = Reference.Signals.meanShift(6000, 3000, 3.0, 1.0, 114)
-    val loose = StreamSegmenter.segmentSeries(new WindowSegmenter(20, threshold = 0.05), xs)
-    val strict = StreamSegmenter.segmentSeries(new WindowSegmenter(20, threshold = 0.8), xs)
-    assert(strict.size <= loose.size)
-  }
-
   test("buffer size scales with the width hint") {
     // A tiny hint still yields a workable minimum buffer; no crash on short input.
     val xs = Reference.Signals.gaussian(200, 115)
