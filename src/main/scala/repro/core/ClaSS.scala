@@ -90,7 +90,9 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
   private var warmup: Array[Double] = new Array[Double](cfg.effectiveWarmup)
   private var warmupLen = 0
   private var knn: StreamingKnn = _
-  private var scorer: ClaspScorer = _
+  // The sweep's per-step buffers: not state, so not serialised; rebuilt on
+  // the first scored step after deserialisation.
+  @transient private var scorer: ClaspScorer = _
   private var w: Int = -1
   private var lastCp: Long = 0L // absolute position of the last reported CP
   private var passStreak: Int = 0 // consecutive steps the detection held
@@ -118,7 +120,6 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
       // Learn the width, then replay the warm-up from the first observation.
       w = Suss.learnWidth(warmup, maxWidth = cfg.maxWidth)
       knn = new StreamingKnn(cfg.d, w, cfg.k)
-      scorer = new ClaspScorer(cfg.d - w + 1, cfg.k)
       var cp: Option[Long] = None
       var i = 0
       while (i < warmupLen) {
@@ -134,6 +135,7 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
   private def step(x: Double): Option[Long] = {
     knn.update(x)
     if (!knn.ready) return None
+    if (scorer == null) scorer = new ClaspScorer(cfg.d - w + 1, cfg.k)
     // Clamp the scope to the window: a long-completed segment may have
     // partially slid out already (Definition 4 allows that).
     val scopeStart = math.max(0, (lastCp - knn.windowStart).toInt)

@@ -57,7 +57,9 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
   // q(i): dot of win[i..i+w-2] with win[e..e+w-2] where e = len-w (invariant
   // restored at the end of every update; see Equations 3 and 5).
   private val q = new Array[Double](maxRows)
-  private val corrScratch = new Array[Double](maxRows)
+  // This step's correlations: not state, so not serialised; rebuilt on the
+  // first update after deserialisation. Hot loops read it through a local.
+  @transient private var corrScratch: Array[Double] = _
 
   // --- k-NN rows (row i <-> window subsequence index i) --------------------
   private val nnPos = new Array[Int](maxRows * k) // absolute positions, sorted by corr desc
@@ -95,11 +97,16 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
 
   /** Correlations between the newest subsequence and every subsequence
     * `i <= newestIndex`, recomputed on every update. Shared scratch buffer:
-    * read-only, valid until the next `update`. FLOSS builds its
-    * one-directional arc structure from this without a second dot-product
-    * pipeline.
+    * read-only, valid until the next `update` (and not kept across
+    * serialisation). FLOSS builds its one-directional arc structure from
+    * this without a second dot-product pipeline.
     */
-  def correlations: Array[Double] = corrScratch
+  def correlations: Array[Double] = scratch()
+
+  private def scratch(): Array[Double] = {
+    if (corrScratch == null) corrScratch = new Array[Double](maxRows)
+    corrScratch
+  }
 
   /** Ingest one observation; updates dot products and k-NN rows. */
   def update(x: Double): Unit = {
@@ -138,6 +145,7 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     while (i < e) { val v = win(i); lo += v; loSq += v * v; i += 1 }
     var hi = lo; var hiSq = loSq
     while (i < len) { val v = win(i); hi += v; hiSq += v * v; i += 1 }
+    val corr = scratch()
     val muE = (hi - lo) / w
     val sigE = MathUtil.windowStd(hi - lo, hiSq - loSq, w)
     // Subsequence i's: a = sum over [0, i), b = sum over [0, i + w).
@@ -151,7 +159,7 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
       val c =
         if (sig <= 0.0 || sigE <= 0.0) 0.0
         else (q(i) - w * mu * muE) / (w * sig * sigE)
-      corrScratch(i) = math.max(-1.0, math.min(1.0, c))
+      corr(i) = math.max(-1.0, math.min(1.0, c))
       val u = win(i); a += u; aSq += u * u
       if (i < e) { val v = win(i + w); b += v; bSq += v * v }
       i += 1
@@ -162,13 +170,13 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     i = 0
     while (i <= e) { q(i) -= win(i) * first; i += 1 }
 
-    maintainRows(e, evicted)
+    maintainRows(e, evicted, corr)
   }
 
   /** (b) the newest subsequence's row: top-k among indices `[0, e-exclusion]`;
     * (c) the older rows in which the newest subsequence is a closer neighbour.
     */
-  private def maintainRows(e: Int, evicted: Boolean): Unit = {
+  private def maintainRows(e: Int, evicted: Boolean, corr: Array[Double]): Unit = {
     if (evicted) {
       System.arraycopy(nnPos, k, nnPos, 0, (maxRows - 1) * k)
       System.arraycopy(nnCorr, k, nnCorr, 0, (maxRows - 1) * k)
@@ -178,8 +186,8 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     val newPos = windowStart + e
     var i = 0
     while (i <= e - exclusion) {
-      insertIfCloser(e, windowStart + i, corrScratch(i))
-      insertIfCloser(i, newPos, corrScratch(i))
+      insertIfCloser(e, windowStart + i, corr(i))
+      insertIfCloser(i, newPos, corr(i))
       i += 1
     }
     if (e == readyRow) {

@@ -146,6 +146,30 @@ class ClaSSSpec extends SparkSpec {
     assert(got.map(_._2) == Vector(999, 2283, 3452, 3522, 4203, 4796, 5560, 6382, 7188))
   }
 
+  test("a kryo round trip mid-stream keeps the segmentation and carries only state") {
+    // Spark's KryoSerializer, the serialiser behind the operator's Encoders.kryo state.
+    val kryo = new org.apache.spark.serializer.KryoSerializer(new org.apache.spark.SparkConf(false)).newInstance()
+    val xs = SyntheticCorpus.generate(SyntheticCorpus.specs(1).filter(_.dataset == "mHealth").head).values
+    val cuts = Set(500, 2500, 5000)
+    var c = new ClaSS(ClaSSConfig())
+    val got = xs.indices.flatMap { i =>
+      if (cuts(i)) {
+        val bytes = kryo.serialize(c)
+        if (c.width > 0) {
+          // The window, q and the k-NN rows (positions and correlations), plus
+          // a little for the counters, the RNG and the config; no scratch.
+          val rows = c.cfg.d - c.width + 1
+          val bound = 8L * c.cfg.d + 8L * rows + 12L * c.cfg.k * rows + 1024
+          assert(bytes.remaining() < bound, s"${bytes.remaining()} bytes at point $i")
+        }
+        c = kryo.deserialize[ClaSS](bytes)
+      }
+      c.update(xs(i)).map(cp => (cp, i))
+    }.toVector
+    assert(got == detections(new ClaSS(ClaSSConfig()), xs))
+    assert(got.size == 9)
+  }
+
   test("a non-finite reading is replaced by the last finite one and counted") {
     tssb.foreach { xs =>
       val clean = detections(new ClaSS(ClaSSConfig()), xs)

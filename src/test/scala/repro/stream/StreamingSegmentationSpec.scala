@@ -1,9 +1,16 @@
 package repro.stream
 
+import java.io.File
+import java.nio.file.Files
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
+import org.apache.commons.io.FileUtils
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
-import org.apache.spark.sql.streaming.OutputMode
+import org.apache.spark.sql.streaming.{OutputMode, StreamingQuery}
 import repro.SparkSpec
 import repro.core.{ClaSS, ClaSSConfig, Reference, StreamSegmenter}
+import repro.data.SyntheticCorpus
 
 /** The Structured Streaming stateful ClaSS operator (the Flink-operator
   * analog): per-key state across micro-batches must reproduce the offline
@@ -49,6 +56,20 @@ class StreamingSegmentationSpec extends SparkSpec {
 
   private def offlineCps(xs: Array[Double]): Vector[Long] =
     StreamSegmenter.segmentSeries(new ClaSS(cfg), xs)
+
+  /** Start the operator over `input` with its checkpoint in `dir` and a
+    * `foreachBatch` sink (the memory sink refuses to recover from a
+    * checkpoint) that adds every emitted CP to `out`.
+    */
+  private def startCheckpointed(input: MemoryStream[SensorReading], c: ClaSSConfig, dir: File,
+                                out: ConcurrentLinkedQueue[DetectedChangePoint]): StreamingQuery = {
+    val sink: (Dataset[DetectedChangePoint], Long) => Unit = (batch, _) => batch.collect().foreach(out.add)
+    StreamingSegmentation.changePoints(input.toDS(), c).writeStream
+      .option("checkpointLocation", dir.getPath)
+      .outputMode(OutputMode.Append())
+      .foreachBatch(sink)
+      .start()
+  }
 
   test("streaming operator reproduces the offline segmentation across micro-batches") {
     val xs = Reference.Signals.twoRegimes(4000, 2000, 20, 50, 0.05, 131)
@@ -111,6 +132,61 @@ class StreamingSegmentationSpec extends SparkSpec {
       query.stop()
       spark.sql("DROP TABLE IF EXISTS cps_partitions")
     }
+  }
+
+  test("a query restarted from its checkpoint continues the segmentation") {
+    val session = spark
+    import session.implicits._
+    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
+    val c = ClaSSConfig()
+    val xs = SyntheticCorpus.specs(1).filter(_.dataset == "mHealth").take(2)
+      .flatMap(SyntheticCorpus.generate(_).values).take(14000).toArray
+    val chunk = 2000
+    val batches = xs.indices.grouped(chunk).map(_.map(i => SensorReading("s", i.toLong, xs(i)))).toVector
+    val dir = Files.createTempDirectory("class-restart").toFile
+    val out = new ConcurrentLinkedQueue[DetectedChangePoint]()
+    try {
+      val first = MemoryStream[SensorReading]
+      val q1 = startCheckpointed(first, c, dir, out)
+      try batches.take(4).foreach { b => first.addData(b); q1.processAllAvailable() }
+      finally q1.stop()
+      val beforeStop = out.size
+      // A fresh source holds the consumed batches again at the same offsets;
+      // the restarted query resumes after the last committed one.
+      val second = MemoryStream[SensorReading]
+      batches.take(4).foreach(second.addData(_))
+      val q2 = startCheckpointed(second, c, dir, out)
+      try batches.drop(4).foreach { b => second.addData(b); q2.processAllAvailable() }
+      finally q2.stop()
+      val sequential = new ClaSS(c)
+      val want = xs.indices.flatMap(i => sequential.update(xs(i)).map(cp => (cp, i.toLong))).toVector
+      val got = out.asScala.toVector.map(d => (d.position, d.detectedSeq)).sortBy(_._2)
+      assert(got == want)
+      assert(beforeStop > 0 && beforeStop < want.size, s"$beforeStop of ${want.size} CPs before the restart")
+    } finally FileUtils.deleteDirectory(dir)
+  }
+
+  test("a committed micro-batch keeps both checksums of its state file") {
+    val session = spark
+    import session.implicits._
+    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
+    val dir = Files.createTempDirectory("class-checksums").toFile
+    try {
+      val input = MemoryStream[SensorReading]
+      val q = startCheckpointed(input, cfg, dir, new ConcurrentLinkedQueue[DetectedChangePoint]())
+      try {
+        input.addData((0 until 600).map(i => SensorReading("s", i.toLong, math.sin(i / 10.0))))
+        q.processAllAvailable()
+      } finally q.stop()
+      val stores = FileUtils.listFiles(new File(dir, "state"), null, true).asScala
+        .filter(_.getName == "1.delta").map(_.getParentFile)
+      assert(stores.size == spark.sparkContext.defaultParallelism)
+      stores.foreach { s =>
+        // Spark's checksum of the delta file, and Hadoop's.
+        assert(new File(s, "1.delta.crc").isFile, s"no 1.delta.crc in $s")
+        assert(new File(s, ".1.delta.crc").isFile, s"no .1.delta.crc in $s")
+      }
+    } finally FileUtils.deleteDirectory(dir)
   }
 
   test("batch (non-streaming) usage works too") {
