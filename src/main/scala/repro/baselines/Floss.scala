@@ -17,7 +17,7 @@ import repro.core.{StreamSegmenter, StreamingKnn}
   * exclusion zone of `5·w` after each report suppresses repeats, as in the
   * paper's competitor setup.
   *
-  * Dot products reuse this repo's exact streaming machinery
+  * Correlations reuse this repo's exact streaming machinery
   * ([[StreamingKnn.correlations]]) instead of FLOSS's `O(d log d)` FFT
   * updates — accuracy-identical, only the runtime constant differs
   * (substitution documented in DESIGN.md §2).
@@ -37,7 +37,7 @@ final class Floss(d: Int, widthHint: Int) extends StreamSegmenter {
 
   // Right-pointing 1-NN per window subsequence: best correlation seen so far
   // toward a *newer* subsequence. Aligned with window row indices.
-  private val rightPos = new Array[Int](maxRows) // absolute positions
+  private val rightPos = new Array[Int](maxRows) // absolute positions, modulo 2^32
   private val rightCorr = new Array[Double](maxRows)
   private var nRows = 0
 
@@ -61,7 +61,7 @@ final class Floss(d: Int, widthHint: Int) extends StreamSegmenter {
     rightPos(e) = -1
     nRows = e + 1
     val corr = knn.correlations
-    val newestAbs = knn.windowStart + e
+    val newestAbs = (knn.windowStart + e).toInt // positions wrap alike
     var i = 0
     val lim = e - excl
     while (i <= lim) {
@@ -80,7 +80,7 @@ final class Floss(d: Int, widthHint: Int) extends StreamSegmenter {
     i = 0
     while (i < m) {
       if (rightCorr(i) != Double.NegativeInfinity) {
-        val r = rightPos(i) - base
+        val r = rightPos(i) - base.toInt
         crossings(i + 1) += 1
         crossings(math.min(r, m) + 1) -= 1
         arcs += 1
@@ -100,13 +100,13 @@ final class Floss(d: Int, widthHint: Int) extends StreamSegmenter {
       if (i >= 2 * w && i <= m - 2 * w) {
         val ideal = (m - i) * (hM - harmonic(m - i))
         val cac = math.min(1.0, acc / math.max(ideal, 1e-9))
-        val absPos = base.toLong + i
+        val absPos = base + i
         if (cac < minCac && absPos > lastCp + exclusionZone) { minCac = cac; argmin = i }
       }
       i += 1
     }
     if (argmin >= 0 && minCac < threshold) {
-      val cp = base.toLong + argmin
+      val cp = base + argmin
       lastCp = cp
       Some(cp)
     } else None

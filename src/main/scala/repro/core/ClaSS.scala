@@ -82,8 +82,12 @@ final case class ClaSSConfig(
   * Missing values: a non-finite reading (NaN, ±Inf) is replaced by the last
   * finite one (0.0 before any), so positions stay aligned with the stream;
   * [[missingValues]] counts the replacements.
+  *
+  * @param start stream position of the first reading (0 outside the tests)
   */
-final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
+final class ClaSS private[core] (val cfg: ClaSSConfig, start: Long) extends StreamSegmenter {
+  def this(cfg: ClaSSConfig) = this(cfg, 0L)
+
   override def name: String = "ClaSS"
 
   private val rng = new Rng(cfg.seed)
@@ -98,7 +102,7 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
   private var passStreak: Int = 0 // consecutive steps the detection held
   private var lastFinite: Double = 0.0
   private var missing: Long = 0L
-  private var seen: Long = 0L
+  private var seen: Long = start
 
   /** The subsequence width SuSS learned; -1 before warm-up ends. */
   def width: Int = w
@@ -119,7 +123,7 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
       if (warmupLen < cfg.effectiveWarmup) return None
       // Learn the width, then replay the warm-up from the first observation.
       w = Suss.learnWidth(warmup, maxWidth = cfg.maxWidth)
-      knn = new StreamingKnn(cfg.d, w, cfg.k)
+      knn = new StreamingKnn(cfg.d, w, cfg.k, seen - warmupLen)
       var cp: Option[Long] = None
       var i = 0
       while (i < warmupLen) {
@@ -138,7 +142,7 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
     if (scorer == null) scorer = new ClaspScorer(cfg.d - w + 1, cfg.k)
     // Clamp the scope to the window: a long-completed segment may have
     // partially slid out already (Definition 4 allows that).
-    val scopeStart = math.max(0, (lastCp - knn.windowStart).toInt)
+    val scopeStart = math.max(0L, lastCp - knn.windowStart).toInt
     val split = scorer.score(knn, scopeStart, cfg.scoreFunction, exclRadius = cfg.exclRadius)
     if (split.bestZeroCount < 0) { passStreak = 0; return None }
     if (split.bestScore < cfg.minScore) { passStreak = 0; return None }
@@ -149,7 +153,7 @@ final class ClaSS(val cfg: ClaSSConfig) extends StreamSegmenter {
       if (passStreak >= cfg.confirmSteps) {
         // zc zero-labelled subsequences cover the points up to zc + w - 2;
         // the new segment starts at local point zc + w - 1.
-        val cp = knn.windowStart.toLong + scopeStart + split.bestZeroCount + w - 1
+        val cp = knn.windowStart + scopeStart + split.bestZeroCount + w - 1
         lastCp = cp
         passStreak = 0
         Some(cp)

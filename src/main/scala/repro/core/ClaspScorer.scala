@@ -108,7 +108,7 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
 
     // --- turn points and the confusion matrix n[trueLabel][predLabel] at
     // split 0, where every in-scope label is 1 -------------------------------
-    val scopeBasePos = knn.windowStart + scopeStart
+    val scopeBasePos = (knn.windowStart + scopeStart).toInt // positions wrap alike
     val h = (k + 1) / 2 // 2 * zeros >= k
     java.util.Arrays.fill(turnsRight, 0, zMax + 1, 0)
     java.util.Arrays.fill(turnsLeft, 0, zMax + 1, 0)

@@ -5,11 +5,17 @@ package repro.core
   *
   * For every incoming point the index
   *
-  *  (a) computes the Pearson correlations between the newest subsequence and
-  *      all others in `O(d)` by maintaining STOMP-style `(w-1)`-length dot
-  *      products across overlapping windows (Equations 3–5) and each
-  *      subsequence's mean and std from running sums of the window and its
-  *      squares (Equations 1–2), advanced in the loop that reads them,
+  *  (a) computes the Pearson correlations between the newest subsequence `e`
+  *      and all others in `O(d)` from centred co-moments
+  *      `cov(i, e) = Σ (x_{i+m} − μ_i)(x_{e+m} − μ_e)`, advanced along each
+  *      diagonal by the update of SCAMP (Zimmerman et al., SoCC 2019)
+  *      `cov(i, e) = cov(i−1, e−1) + df_i·dg_e + df_e·dg_i` with
+  *      `df_i = (x_{i+w−1} − x_{i−1})/2` and
+  *      `dg_i = (x_{i+w−1} − μ_i) + (x_{i−1} − μ_{i−1})`; this replaces the
+  *      paper's uncentred dot products (Equations 3–5), which cancel at large
+  *      offsets. Each subsequence's mean, `1/sqrt(Σ(x − μ)²)`, `df` and `dg`
+  *      are computed once, when it enters, so a correlation is
+  *      `cov(i, e)·(1/σ_i)·(1/σ_e)` with no square root or division,
   *  (b) appends the newest subsequence's k-NN row (top-k over its
   *      predecessors, with an exclusion radius of `3/2·w` against trivial
   *      matches), and
@@ -19,10 +25,12 @@ package repro.core
   * Both (b) and (c) go through one sorted top-k insertion.
   *
   * Neighbour identities are stored as **absolute** subsequence positions
-  * (index of the subsequence's first point since stream start). This encodes
-  * the paper's "shift k-NN offsets left, negative means out-of-window" step
-  * without an O(k·d) decrement pass: window-relative offsets are derived on
-  * read and may be negative, which the ClaSP scorer maps to class zero.
+  * (index of the subsequence's first point since stream start) in an `Int`,
+  * so they wrap after 2^31 points; only their differences are meaningful,
+  * and those stay exact. This encodes the paper's "shift k-NN offsets left,
+  * negative means out-of-window" step without an O(k·d) decrement pass:
+  * window-relative offsets are derived on read and may be negative, which
+  * the ClaSP scorer maps to class zero.
   *
   * Rows are maintained from the first subsequence on; a new row starts as
   * `k` empty (`-∞`) slots. Rows become available ("ready") once every
@@ -36,8 +44,12 @@ package repro.core
   * @param w subsequence width; must satisfy `d >= w + 2*excl + k` so that the
   *          structure can warm up inside one window
   * @param k number of neighbours per subsequence
+  * @param start stream position of the first point (0 outside the tests)
   */
-final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializable {
+final class StreamingKnn private[core] (val d: Int, val w: Int, val k: Int, start: Long)
+    extends Serializable {
+  def this(d: Int, w: Int, k: Int) = this(d, w, k, 0L)
+
   require(w >= 3, s"subsequence width must be >= 3, got $w")
   require(k >= 1, s"k must be >= 1, got $k")
 
@@ -51,14 +63,21 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
   // --- sliding window ------------------------------------------------------
   private val win = new Array[Double](d)
   private var len = 0
-  private var tau = 0L // total points ingested
+  private var tau = start // position of the next point
 
-  // --- incremental dot products and per-step scratch -----------------------
-  // q(i): dot of win[i..i+w-2] with win[e..e+w-2] where e = len-w (invariant
-  // restored at the end of every update; see Equations 3 and 5).
-  private val q = new Array[Double](maxRows)
-  // This step's correlations: not state, so not serialised; rebuilt on the
-  // first update after deserialisation. Hot loops read it through a local.
+  // --- centred co-moments and per-row statistics ---------------------------
+  // cov(i): co-moment of subsequence i with the newest one, e = len-w.
+  private val cov = new Array[Double](maxRows)
+  // Per row, set when the row enters and shifted with the rows: mean, inverse
+  // norm (0 for a flat row) and the update terms df, dg (row 0's are never
+  // read again). Each follows from the window alone, so they are not state:
+  // not serialised, and rebuilt with the same doubles on the first update
+  // after deserialisation.
+  @transient private var mu: Array[Double] = _
+  @transient private var inv: Array[Double] = _
+  @transient private var df: Array[Double] = _
+  @transient private var dg: Array[Double] = _
+  // This step's correlations: not state either; hot loops read it through a local.
   @transient private var corrScratch: Array[Double] = _
 
   // --- k-NN rows (row i <-> window subsequence index i) --------------------
@@ -69,7 +88,7 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
   private val readyRow = 2 * exclusion + k - 2
 
   /** Absolute position of the point at window index 0. */
-  def windowStart: Int = (tau - len).toInt
+  def windowStart: Long = tau - len
 
   /** Number of points currently buffered. */
   def length: Int = len
@@ -80,10 +99,14 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
   /** Whether every row holds `k` neighbours yet. */
   def ready: Boolean = rows > readyRow
 
-  /** Absolute position of the subsequence behind row `i`. */
-  def rowPos(i: Int): Int = windowStart + i
+  /** Absolute position, modulo 2^32 like [[neighborPos]], of the subsequence
+    * behind row `i`.
+    */
+  def rowPos(i: Int): Int = (windowStart + i).toInt
 
-  /** Absolute position of neighbour `j` (0-based, by descending correlation) of row `i`. */
+  /** Absolute position, modulo 2^32, of neighbour `j` (0-based, by descending
+    * correlation) of row `i`: subtract another such position, never compare.
+    */
   def neighborPos(i: Int, j: Int): Int = nnPos(i * k + j)
 
   /** Correlation of neighbour `j` of row `i`. */
@@ -99,7 +122,7 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     * `i <= newestIndex`, recomputed on every update. Shared scratch buffer:
     * read-only, valid until the next `update` (and not kept across
     * serialisation). FLOSS builds its one-directional arc structure from
-    * this without a second dot-product pipeline.
+    * this without a second correlation pipeline.
     */
   def correlations: Array[Double] = scratch()
 
@@ -108,12 +131,17 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     corrScratch
   }
 
-  /** Ingest one observation; updates dot products and k-NN rows. */
+  /** Ingest one observation; updates co-moments and k-NN rows. */
   def update(x: Double): Unit = {
+    if (mu == null) rebuildRowStats()
     val evicted = len == d
     if (evicted) {
       System.arraycopy(win, 1, win, 0, d - 1)
       win(d - 1) = x
+      System.arraycopy(mu, 1, mu, 0, maxRows - 1)
+      System.arraycopy(inv, 1, inv, 0, maxRows - 1)
+      System.arraycopy(df, 1, df, 0, maxRows - 1)
+      System.arraycopy(dg, 1, dg, 0, maxRows - 1)
     } else {
       win(len) = x
       len += 1
@@ -121,56 +149,73 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     tau += 1
     if (len < w) return
     val e = len - w // index of the newest subsequence
+    enterRow(e)
 
-    // Maintain the (w-1)-length dot products. After eviction, data and the
-    // newest-subsequence alignment shift together, so q stays index-aligned;
-    // while growing, slots shift right and slot 0 is computed directly.
-    if (!evicted) {
-      if (e > 0) System.arraycopy(q, 0, q, 1, e)
-      var acc = 0.0
-      var m = 0
-      while (m < w - 1) { acc += win(m) * win(e + m); m += 1 }
-      q(0) = acc
-    }
-
-    // Extend to w-length dots (Eq. 3): q(i) += win(i+w-1) * win(len-1).
-    val last = win(len - 1)
-    var i = 0
-    while (i <= e) { q(i) += win(i + w - 1) * last; i += 1 }
-
-    // Means / stds (Eqs. 1–2) from running sums of the window and its squares,
-    // added in index order. The newest subsequence's: sums over [0, e), [0, len).
-    var lo = 0.0; var loSq = 0.0
-    i = 0
-    while (i < e) { val v = win(i); lo += v; loSq += v * v; i += 1 }
-    var hi = lo; var hiSq = loSq
-    while (i < len) { val v = win(i); hi += v; hiSq += v * v; i += 1 }
+    // One pass: advance each co-moment along its diagonal and read the
+    // correlation off it. After eviction, data and the newest subsequence
+    // shift together, so cov stays index-aligned; while growing, slots shift
+    // right and slot 0 is computed directly.
     val corr = scratch()
-    val muE = (hi - lo) / w
-    val sigE = MathUtil.windowStd(hi - lo, hiSq - loSq, w)
-    // Subsequence i's: a = sum over [0, i), b = sum over [0, i + w).
-    var a = 0.0; var aSq = 0.0; var b = 0.0; var bSq = 0.0
-    i = 0
-    while (i < w) { val v = win(i); b += v; bSq += v * v; i += 1 }
-    i = 0
-    while (i <= e) {
-      val mu = (b - a) / w
-      val sig = MathUtil.windowStd(b - a, bSq - aSq, w)
-      val c =
-        if (sig <= 0.0 || sigE <= 0.0) 0.0
-        else (q(i) - w * mu * muE) / (w * sig * sigE)
-      corr(i) = math.max(-1.0, math.min(1.0, c))
-      val u = win(i); a += u; aSq += u * u
-      if (i < e) { val v = win(i + w); b += v; bSq += v * v }
-      i += 1
+    val dfE = df(e); val dgE = dg(e); val invE = inv(e)
+    if (evicted) {
+      var i = 0
+      while (i <= e) {
+        val c = cov(i) + df(i) * dgE + dfE * dg(i)
+        cov(i) = c
+        corr(i) = math.max(-1.0, math.min(1.0, c * inv(i) * invE))
+        i += 1
+      }
+    } else {
+      var i = e
+      while (i > 0) {
+        val c = cov(i - 1) + df(i) * dgE + dfE * dg(i)
+        cov(i) = c
+        corr(i) = math.max(-1.0, math.min(1.0, c * inv(i) * invE))
+        i -= 1
+      }
+      val mu0 = mu(0); val muE = mu(e)
+      var c = 0.0
+      var m = 0
+      while (m < w) { c += (win(m) - mu0) * (win(e + m) - muE); m += 1 }
+      cov(0) = c
+      corr(0) = math.max(-1.0, math.min(1.0, c * inv(0) * invE))
     }
-
-    // Restore (w-1)-length dots for the next update (Eq. 5).
-    val first = win(e)
-    i = 0
-    while (i <= e) { q(i) -= win(i) * first; i += 1 }
 
     maintainRows(e, evicted, corr)
+  }
+
+  /** Statistics of row `i`, from its `w` points and, for `i > 0`, the point
+    * and the mean of row `i - 1`. The mean is taken relative to the row's
+    * first point (exact for a flat row), then the squares are centred on it.
+    */
+  private def enterRow(i: Int): Unit = {
+    val x0 = win(i)
+    var s = 0.0
+    var m = 1
+    while (m < w) { s += win(i + m) - x0; m += 1 }
+    val mean = x0 + s / w
+    var ss = 0.0
+    m = 0
+    while (m < w) { val v = win(i + m) - mean; ss += v * v; m += 1 }
+    mu(i) = mean
+    inv(i) = if (ss > 0.0) 1.0 / math.sqrt(ss) else 0.0
+    if (i > 0) {
+      val hi = win(i + w - 1); val lo = win(i - 1)
+      df(i) = 0.5 * (hi - lo)
+      dg(i) = (hi - mean) + (lo - mu(i - 1))
+    }
+  }
+
+  /** Per-row statistics of every in-window row, after construction or
+    * deserialisation.
+    */
+  private def rebuildRowStats(): Unit = {
+    mu = new Array[Double](maxRows)
+    inv = new Array[Double](maxRows)
+    df = new Array[Double](maxRows)
+    dg = new Array[Double](maxRows)
+    var i = 0
+    while (i <= len - w) { enterRow(i); i += 1 }
   }
 
   /** (b) the newest subsequence's row: top-k among indices `[0, e-exclusion]`;
@@ -183,10 +228,11 @@ final class StreamingKnn(val d: Int, val w: Int, val k: Int) extends Serializabl
     }
     java.util.Arrays.fill(nnCorr, e * k, e * k + k, Double.NegativeInfinity)
     rows = e + 1
-    val newPos = windowStart + e
+    val base = windowStart.toInt // positions wrap, see neighborPos
+    val newPos = base + e
     var i = 0
     while (i <= e - exclusion) {
-      insertIfCloser(e, windowStart + i, corr(i))
+      insertIfCloser(e, base + i, corr(i))
       insertIfCloser(i, newPos, corr(i))
       i += 1
     }

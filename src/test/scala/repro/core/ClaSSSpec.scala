@@ -146,6 +146,28 @@ class ClaSSSpec extends SparkSpec {
     assert(got.map(_._2) == Vector(999, 2283, 3452, 3522, 4203, 4796, 5560, 6382, 7188))
   }
 
+  test("change points are invariant under a·x + b, offsets up to 1e8 included") {
+    tssb.foreach { xs =>
+      val clean = detections(new ClaSS(ClaSSConfig()), xs)
+      for (a <- Seq(0.5, 3.0, -2.0); b <- Seq(0.0, -7.0, 1e6, 1e8)) {
+        val got = detections(new ClaSS(ClaSSConfig()), xs.map(v => a * v + b))
+        assert(got == clean, s"${a}x + $b: $got vs clean $clean")
+      }
+    }
+  }
+
+  test("positions past 2^31 points keep their value") {
+    // The window's first point passes 2^31 at point 5,000 of this 7.5k-8.5k
+    // point series; its last three CPs come after that.
+    val start = (1L << 31) - 3000
+    val xs = SyntheticCorpus.generate(SyntheticCorpus.specs(1).filter(_.dataset == "mHealth").head).values
+    val clean = detections(new ClaSS(ClaSSConfig()), xs)
+    val c = new ClaSS(ClaSSConfig(), start)
+    val got = detections(c, xs)
+    assert(got == clean.map { case (cp, at) => (cp + start, at) })
+    assert(c.observed == start + xs.length)
+  }
+
   test("a kryo round trip mid-stream keeps the segmentation and carries only state") {
     // Spark's KryoSerializer, the serialiser behind the operator's Encoders.kryo state.
     val kryo = new org.apache.spark.serializer.KryoSerializer(new org.apache.spark.SparkConf(false)).newInstance()
@@ -156,7 +178,7 @@ class ClaSSSpec extends SparkSpec {
       if (cuts(i)) {
         val bytes = kryo.serialize(c)
         if (c.width > 0) {
-          // The window, q and the k-NN rows (positions and correlations), plus
+          // The window, cov and the k-NN rows (positions and correlations), plus
           // a little for the counters, the RNG and the config; no scratch.
           val rows = c.cfg.d - c.width + 1
           val bound = 8L * c.cfg.d + 8L * rows + 12L * c.cfg.k * rows + 1024

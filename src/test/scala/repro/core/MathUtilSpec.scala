@@ -105,6 +105,14 @@ class MathUtilSpec extends SparkSpec {
     assert(math.abs(base - Reference.pearson(xs, ys.map(v => 0.5 * v - 2.0))) < 1e-9)
   }
 
+  test("pearson keeps its value at large offsets") {
+    val xs = Reference.Signals.gaussian(64, 7)
+    val ys = Reference.Signals.noisySine(64, 16, 0.3, 8)
+    val base = Reference.pearson(xs, ys)
+    for (off <- Seq(1e6, 1e8))
+      assert(math.abs(base - Reference.pearson(xs.map(_ + off), ys.map(_ + off))) < 1e-6, s"+$off")
+  }
+
   test("pearson with a constant input is defined as zero") {
     val xs = Array.fill(10)(2.0)
     val ys = Reference.Signals.gaussian(10, 6)

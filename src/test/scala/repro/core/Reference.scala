@@ -51,22 +51,29 @@ object Reference {
     math.max(-1.0, math.min(1.0, pearson(sa, sb)))
   }
 
-  /** Pearson correlation of two equal-length arrays, `0` when either is
-    * constant.
+  /** Pearson correlation of two equal-length arrays from centred sums, `0`
+    * when either is constant. Two passes: the means first (each taken
+    * relative to the array's first value, so a constant array's is exact),
+    * then the centred co-moments, so large offsets do not cancel.
     */
   def pearson(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length && a.nonEmpty, "pearson needs equal non-empty arrays")
     val n = a.length
-    var sa = 0.0; var sb = 0.0; var saa = 0.0; var sbb = 0.0; var sab = 0.0
+    def mean(v: Array[Double]): Double = {
+      var s = 0.0; var i = 0
+      while (i < n) { s += v(i) - v(0); i += 1 }
+      v(0) + s / n
+    }
+    val ma = mean(a); val mb = mean(b)
+    var saa = 0.0; var sbb = 0.0; var sab = 0.0
     var i = 0
     while (i < n) {
-      sa += a(i); sb += b(i); saa += a(i) * a(i); sbb += b(i) * b(i); sab += a(i) * b(i)
+      val u = a(i) - ma; val v = b(i) - mb
+      saa += u * u; sbb += v * v; sab += u * v
       i += 1
     }
-    val ma = sa / n; val mb = sb / n
-    val va = saa / n - ma * ma; val vb = sbb / n - mb * mb
-    if (va <= 0.0 || vb <= 0.0) 0.0
-    else (sab / n - ma * mb) / math.sqrt(va * vb)
+    if (saa <= 0.0 || sbb <= 0.0) 0.0
+    else sab / math.sqrt(saa * sbb)
   }
 
   /** Naive ClaSP: for a given zero-count `zc`, build the labels from scratch,
@@ -78,7 +85,7 @@ object Reference {
     val m = knn.numRows - scopeStart
     val zMax = m - w - 2
     if (zMax < 1) return Vector.empty
-    val base = knn.windowStart + scopeStart
+    val base = (knn.windowStart + scopeStart).toInt
     (1 to zMax).map { zc =>
       val yTrue = Array.tabulate(m)(j => if (j < zc) 0 else 1)
       var n11 = 0; var n10 = 0; var n01 = 0; var n00 = 0
@@ -114,7 +121,7 @@ object Reference {
     */
   def naiveYPred(knn: StreamingKnn, scopeStart: Int, zc: Int): Vector[Int] = {
     val m = knn.numRows - scopeStart
-    val base = knn.windowStart + scopeStart
+    val base = (knn.windowStart + scopeStart).toInt
     val yTrue = Array.tabulate(m)(j => if (j < zc) 0 else 1)
     (0 until m).map { j =>
       var zeros = 0
