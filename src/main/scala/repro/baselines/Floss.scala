@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{StreamSegmenter, StreamingKnn}
+import repro.core.{CorrelationStream, StreamSegmenter}
 
 /** FLOSS — Fast Low-cost Online Semantic Segmentation
   * (Gharghabi et al., DMKD 2018).
@@ -17,10 +17,11 @@ import repro.core.{StreamSegmenter, StreamingKnn}
   * exclusion zone of `5·w` after each report suppresses repeats, as in the
   * paper's competitor setup.
   *
-  * Correlations reuse this repo's exact streaming machinery
-  * ([[StreamingKnn.correlations]]) instead of FLOSS's `O(d log d)` FFT
+  * Correlations come from this repo's `O(d)` [[CorrelationStream]], the
+  * stream under ClaSS's k-NN rows, instead of FLOSS's `O(d log d)` FFT
   * updates — accuracy-identical, only the runtime constant differs
-  * (substitution documented in DESIGN.md §2).
+  * (substitution documented in DESIGN.md §2). FLOSS keeps only its own
+  * right-pointing arcs on that stream, no k-NN rows.
   *
   * @param d         sliding window size
   * @param widthHint subsequence width (the paper takes it from annotations)
@@ -31,37 +32,36 @@ final class Floss(d: Int, widthHint: Int) extends StreamSegmenter {
   /** CAC valley threshold (paper-tuned 0.45). */
   private val threshold = 0.45
   private val w = math.max(3, math.min(widthHint, d / 10))
-  private val knn = new StreamingKnn(d, w, 1)
+  private val stream = new CorrelationStream(d, w)
   private val maxRows = d - w + 1
-  private val excl = knn.exclusion
+  private val excl = stream.exclusion
 
   // Right-pointing 1-NN per window subsequence: best correlation seen so far
   // toward a *newer* subsequence. Aligned with window row indices.
   private val rightPos = new Array[Int](maxRows) // absolute positions, modulo 2^32
   private val rightCorr = new Array[Double](maxRows)
-  private var nRows = 0
 
   private val crossings = new Array[Int](maxRows + 2)
+  // H_0 .. H_maxRows, the normalisation of every CAC value.
+  private val harmonics = Array.tabulate(maxRows + 1)(harmonic)
   private var lastCp = FarPast
   private val exclusionZone = 5 * w
 
   override def update(x: Double): Option[Long] = {
-    val willEvict = knn.length == d
-    knn.update(x)
-    if (!knn.hasCorrelations) return None
-    val e = knn.newestIndex
+    val willEvict = stream.length == d
+    stream.update(x)
+    if (!stream.hasCorrelations) return None
+    val e = stream.newestIndex
 
     // Maintain right-NN rows in window coordinates.
-    if (willEvict && nRows == maxRows) {
+    if (willEvict) {
       System.arraycopy(rightPos, 1, rightPos, 0, maxRows - 1)
       System.arraycopy(rightCorr, 1, rightCorr, 0, maxRows - 1)
-      nRows -= 1
     }
     rightCorr(e) = Double.NegativeInfinity // newest row: no right arc yet
     rightPos(e) = -1
-    nRows = e + 1
-    val corr = knn.correlations
-    val newestAbs = (knn.windowStart + e).toInt // positions wrap alike
+    val corr = stream.correlations
+    val newestAbs = (stream.windowStart + e).toInt // positions wrap alike
     var i = 0
     val lim = e - excl
     while (i <= lim) {
@@ -69,13 +69,13 @@ final class Floss(d: Int, widthHint: Int) extends StreamSegmenter {
       i += 1
     }
 
-    val m = nRows
+    val m = e + 1
     if (m < 8 * w) return None // too little context for a stable arc curve
 
     // Crossing counts via a difference array: arc (j -> r] crosses offsets
     // strictly after j up to r.
     java.util.Arrays.fill(crossings, 0, m + 2, 0)
-    val base = knn.windowStart
+    val base = stream.windowStart
     var arcs = 0
     i = 0
     while (i < m) {
@@ -93,12 +93,12 @@ final class Floss(d: Int, widthHint: Int) extends StreamSegmenter {
     var minCac = Double.PositiveInfinity
     var argmin = -1
     var acc = 0
-    val hM = harmonic(m)
+    val hM = harmonics(m)
     i = 1
     while (i < m) {
       acc += crossings(i)
       if (i >= 2 * w && i <= m - 2 * w) {
-        val ideal = (m - i) * (hM - harmonic(m - i))
+        val ideal = (m - i) * (hM - harmonics(m - i))
         val cac = math.min(1.0, acc / math.max(ideal, 1e-9))
         val absPos = base + i
         if (cac < minCac && absPos > lastCp + exclusionZone) { minCac = cac; argmin = i }
