@@ -12,8 +12,10 @@ class Table2Bench extends SparkSpec {
 
   test("Table 2: published complexity vs measured per-point cost") {
     val dValues = Seq(500, 1000, 2000, 4000)
-    // A JIT warm-up pass so the first-measured method isn't penalized.
-    ComplexityProbe.measure("ClaSS", 500, steadyPoints = 1000)
+    // An untimed pass of every window-scaled method at every d, so that no
+    // timed figure includes compiling the method's code.
+    for (m <- ComplexityProbe.WindowScaled; d <- dValues)
+      ComplexityProbe.measure(m, d, steadyPoints = 1000)
     val rows = ComplexityProbe.sweep(dValues)
 
     println("\n=== Table 2: update complexity (published) vs measured ns/point ===")

@@ -28,21 +28,23 @@ object ScoreFunction {
 final case class SplitScore(bestZeroCount: Int, bestScore: Double, numSubseq: Int)
 
 /** Algorithm 3: cross-validating the self-supervised k-NN classifier for
-  * every hypothetical split of the unsegmented window suffix in `O(k·d)`
-  * total (amortized `O(1)` per split).
+  * every hypothetical split of the unsegmented window suffix in `O(d)` per
+  * call (`O(1)` per split).
   *
   * At split `zc` the first `zc` subsequences of the scope are labelled 0 and
   * the rest 1; a neighbour before the scope is always 0. So a neighbour at
   * local position `L` votes 0 exactly when `L < zc`, and subsequence `j`,
   * which predicts 0 once `h = ceil(k/2)` of its `k` neighbours vote 0,
   * predicts 0 from its turn point `max(0, L_h + 1)` on, where `L_h` is the
-  * h-th smallest local position among its neighbours. One pass over the rows
-  * sorts each row's neighbour positions, stores the turn point and counts it
-  * at its split. From one split to the next, the one subsequence whose true
-  * label flips moves its confusion cell, and the subsequences that turn at
-  * the new split move their prediction 1 -> 0; each split's score is read off
-  * the confusion matrix in constant time. The labels at the best split (for
-  * the significance test) follow from the turn points in one pass.
+  * h-th smallest local position among its neighbours. The k-NN keeps each
+  * row's h-th smallest neighbour position ([[StreamingKnn.turnPositions]]),
+  * so one pass over the rows reads every turn point and counts it at its
+  * split, with no per-row sort. From one split to the next, the one
+  * subsequence whose true label flips moves its confusion cell, and the
+  * subsequences that turn at the new split move their prediction 1 -> 0.
+  * Only admissible splits are scored, each in constant time from the
+  * confusion matrix; the labels at the best split (for the significance
+  * test) follow from the turn points when [[yPred]] is read.
   *
   * All buffers are preallocated to `maxRows` and reused across calls — the
   * scorer runs once per stream observation, so per-call allocation would
@@ -50,16 +52,19 @@ final case class SplitScore(bestZeroCount: Int, bestScore: Double, numSubseq: In
   */
 final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
 
-  // Per local subsequence: during `score`, its turn point (the first split at
-  // which its predicted label is 0); afterwards, its label at the best split.
+  // Per local subsequence: its turn point (the first split at which its
+  // predicted label is 0), until yPred turns it into its label at the best
+  // split.
   private val yPredArr = new Array[Int](maxRows)
+  // Best split of the last call whose labels yPred has not yet written; -1
+  // once written or when the call found no split.
+  private var labelZc = -1
+  private var labelLen = 0
   // Per split: how many subsequences turn 0 there while their own true label
   // is still 1 (`j >= zc`), and how many turn while it is already 0.
   private val turnsRight = new Array[Int](maxRows + 1)
   private val turnsLeft = new Array[Int](maxRows + 1)
-  // One row's local neighbour positions, ascending.
-  private val sortedPos = new Array[Int](k)
-  // ClaSP profile, written on every sweep; the tests compare it with the
+  // ClaSP profile of the admissible splits; the tests compare it with the
   // naive recomputation.
   private val profileArr = new Array[Double](maxRows)
   private var profileLen = 0
@@ -68,17 +73,27 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     * `score` call (the significance test's input). Valid until the next call,
     * and only if that call found a split.
     */
-  def yPred: Array[Int] = yPredArr
+  def yPred: Array[Int] = {
+    if (labelZc >= 0) {
+      // 0 exactly when the prediction turned 0 by the best split.
+      var j = 0
+      while (j < labelLen) { yPredArr(j) = if (yPredArr(j) <= labelZc) 0 else 1; j += 1 }
+      labelZc = -1
+    }
+    yPredArr
+  }
 
   /** ClaSP values of the last call: entry `zc` (1-based) is the score of the
-    * split with `zc` zero-labelled subsequences; entry 0 is unused.
+    * split with `zc` zero-labelled subsequences. Written only for the
+    * admissible splits of that call (all of `1..numSplits` at
+    * `exclRadius = 1`); entry 0 is unused.
     */
   def profile(zc: Int): Double = profileArr(zc)
 
-  /** Number of valid profile entries (max zero count) of the last call. */
+  /** Number of computable splits (max zero count) of the last call. */
   def numSplits: Int = profileLen
 
-  /** Score every hypothetical split of the scope `[scopeStart, knn.numRows)`
+  /** Score every admissible split of the scope `[scopeStart, knn.numRows)`
     * and leave [[yPred]] at the best one.
     *
     * @param knn        the streaming k-NN (must be `ready`)
@@ -104,61 +119,52 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     val zcLo = math.max(1, margin)
     val zcHi = math.min(zMax, m - margin)
     profileLen = 0
+    labelZc = -1
     if (zMax < 1 || zcLo > zcHi) return SplitScore(-1, 0.0, math.max(0, m))
 
     // --- turn points and the confusion matrix n[trueLabel][predLabel] at
     // split 0, where every in-scope label is 1 -------------------------------
     val scopeBasePos = (knn.windowStart + scopeStart).toInt // positions wrap alike
-    val h = (k + 1) / 2 // 2 * zeros >= k
-    java.util.Arrays.fill(turnsRight, 0, zMax + 1, 0)
-    java.util.Arrays.fill(turnsLeft, 0, zMax + 1, 0)
+    val turns = knn.turnPositions
+    java.util.Arrays.fill(turnsRight, 0, zcHi + 1, 0)
+    java.util.Arrays.fill(turnsLeft, 0, zcHi + 1, 0)
     var n11 = 0; var n10 = 0; var n01 = 0; var n00 = 0
     var j = 0
     while (j < m) {
-      var t = 0
-      while (t < k) { // insertion sort of the row's local neighbour positions
-        val local = knn.neighborPos(scopeStart + j, t) - scopeBasePos
-        var s = t
-        while (s > 0 && sortedPos(s - 1) > local) { sortedPos(s) = sortedPos(s - 1); s -= 1 }
-        sortedPos(s) = local
-        t += 1
-      }
-      val turn = math.max(0, sortedPos(h - 1) + 1)
+      val turn = math.max(0, turns(scopeStart + j) - scopeBasePos + 1)
       yPredArr(j) = turn
       if (turn == 0) n10 += 1 else n11 += 1
-      if (turn <= zMax) { if (j >= turn) turnsRight(turn) += 1 else turnsLeft(turn) += 1 }
+      if (turn <= zcHi) { if (j >= turn) turnsRight(turn) += 1 else turnsLeft(turn) += 1 }
       j += 1
     }
 
-    @inline def currentScore(): Double =
-      if (useF1) {
-        val f1c1 = { val den = 2 * n11 + n10 + n01; if (den == 0) 0.0 else 2.0 * n11 / den }
-        val f1c0 = { val den = 2 * n00 + n01 + n10; if (den == 0) 0.0 else 2.0 * n00 / den }
-        (f1c0 + f1c1) / 2.0
-      } else (n11 + n00).toDouble / m
-
-    // --- sweep: flip one subsequence per split ------------------------------
+    // --- sweep: flip one subsequence per split, score the admissible ones ---
     // At split zc, subsequence j's true label is 1 iff j >= zc.
     var bestZc = -1
     var bestScore = Double.NegativeInfinity
     var zc = 1
-    while (zc <= zMax) {
+    while (zc <= zcHi) {
       // The flipped subsequence's (true, pred) cell moves rows 1 -> 0; its
       // prediction is still the one of split zc - 1.
       if (yPredArr(zc - 1) >= zc) { n11 -= 1; n01 += 1 } else { n10 -= 1; n00 += 1 }
       // Predictions that turn 1 -> 0 at this split.
       n11 -= turnsRight(zc); n10 += turnsRight(zc)
       n01 -= turnsLeft(zc); n00 += turnsLeft(zc)
-      val s = currentScore()
-      profileArr(zc) = s
-      if (zc >= zcLo && zc <= zcHi && s > bestScore) { bestScore = s; bestZc = zc }
+      if (zc >= zcLo) {
+        val s =
+          if (useF1) {
+            val f1c1 = { val den = 2 * n11 + n10 + n01; if (den == 0) 0.0 else 2.0 * n11 / den }
+            val f1c0 = { val den = 2 * n00 + n01 + n10; if (den == 0) 0.0 else 2.0 * n00 / den }
+            (f1c0 + f1c1) / 2.0
+          } else (n11 + n00).toDouble / m
+        profileArr(zc) = s
+        if (s > bestScore) { bestScore = s; bestZc = zc }
+      }
       zc += 1
     }
     profileLen = zMax
-    if (bestZc < 0) return SplitScore(-1, 0.0, m)
-    // Labels at the best split: 0 exactly when the prediction turned 0 by then.
-    j = 0
-    while (j < m) { yPredArr(j) = if (yPredArr(j) <= bestZc) 0 else 1; j += 1 }
+    labelZc = bestZc
+    labelLen = m
     SplitScore(bestZc, bestScore, m)
   }
 }

@@ -15,6 +15,14 @@ package repro.core
   *
   * Both (b) and (c) go through one sorted top-k insertion.
   *
+  * Each row also caches its turn position: the `ceil(k/2)`-th smallest of
+  * its neighbour positions, from which the ClaSP scorer reads the split at
+  * which the row's k-NN vote turns to class zero. The entry is refreshed
+  * only when a neighbour enters the row (and once for each new row), so the
+  * scorer needs no per-row sort. The cache follows from the rows alone: it is
+  * `@transient`, not serialised, and rebuilt on first use after
+  * deserialisation.
+  *
   * Neighbour identities are stored as **absolute** subsequence positions
   * (index of the subsequence's first point since stream start) in an `Int`,
   * so they wrap after 2^31 points; only their differences are meaningful,
@@ -55,6 +63,11 @@ final class StreamingKnn private[core] (val d: Int, val w: Int, val k: Int, star
   private val nnPos = new Array[Int](maxRows * k) // absolute positions, sorted by corr desc
   private val nnCorr = new Array[Double](maxRows * k)
   private var rows = 0
+  // Per row: its turn position (see turnPositions), shifted with the rows.
+  // Not state: rebuilt from nnPos after deserialisation, as is the scratch
+  // that sorts one row's positions.
+  @transient private var turnArr: Array[Int] = _
+  @transient private var sortScratch: Array[Int] = _
   // Newest-subsequence index from which every row holds k admissible neighbours.
   private val readyRow = 2 * exclusion + k - 2
 
@@ -83,32 +96,48 @@ final class StreamingKnn private[core] (val d: Int, val w: Int, val k: Int, star
   /** Correlation of neighbour `j` of row `i`. */
   def neighborCorr(i: Int, j: Int): Double = nnCorr(i * k + j)
 
+  /** Per row `i`, the `ceil(k/2)`-th smallest of its neighbour positions,
+    * compared by difference and kept modulo 2^32 like [[neighborPos]]. Shared
+    * buffer: read-only, valid until the next `update`.
+    */
+  def turnPositions: Array[Int] = {
+    if (turnArr == null) rebuildTurns() // before update moves windowStart
+    turnArr
+  }
+
   /** Ingest one observation; updates the correlations, then the k-NN rows. */
   def update(x: Double): Unit = {
+    val turns = turnPositions
     val evicted = stream.length == d
     stream.update(x)
-    if (stream.hasCorrelations) maintainRows(stream.newestIndex, evicted, stream.correlations)
+    if (stream.hasCorrelations) maintainRows(stream.newestIndex, evicted, stream.correlations, turns)
   }
 
   /** (b) the newest subsequence's row: top-k among indices `[0, e-exclusion]`;
     * (c) the older rows in which the newest subsequence is a closer neighbour.
     */
-  private def maintainRows(e: Int, evicted: Boolean, corr: Array[Double]): Unit = {
+  private def maintainRows(e: Int, evicted: Boolean, corr: Array[Double],
+                           turns: Array[Int]): Unit = {
     if (evicted) {
       System.arraycopy(nnPos, k, nnPos, 0, (maxRows - 1) * k)
       System.arraycopy(nnCorr, k, nnCorr, 0, (maxRows - 1) * k)
+      System.arraycopy(turns, 1, turns, 0, maxRows - 1)
     }
-    java.util.Arrays.fill(nnCorr, e * k, e * k + k, Double.NegativeInfinity)
-    rows = e + 1
     val base = windowStart.toInt // positions wrap, see neighborPos
     val newPos = base + e
+    // Empty slots hold the row's own position, so every slot stays within
+    // the window's reach of the row and compares by difference.
+    java.util.Arrays.fill(nnPos, e * k, e * k + k, newPos)
+    java.util.Arrays.fill(nnCorr, e * k, e * k + k, Double.NegativeInfinity)
+    rows = e + 1
     val lim = e - exclusion
     var i = 0
     while (i <= lim) {
       insertIfCloser(e, base + i, corr(i))
-      insertIfCloser(i, newPos, corr(i))
+      if (insertIfCloser(i, newPos, corr(i))) turns(i) = turnOf(i, base + i)
       i += 1
     }
+    turns(e) = turnOf(e, newPos)
     if (e == readyRow) {
       i = 0
       while (i <= e) {
@@ -118,10 +147,12 @@ final class StreamingKnn private[core] (val d: Int, val w: Int, val k: Int, star
     }
   }
 
-  /** Insert `pos` into row `i` if its correlation beats the row's worst. */
-  private def insertIfCloser(i: Int, pos: Int, c: Double): Unit = {
+  /** Insert `pos` into row `i` if its correlation beats the row's worst;
+    * whether it did.
+    */
+  private def insertIfCloser(i: Int, pos: Int, c: Double): Boolean = {
     val base = i * k
-    if (c <= nnCorr(base + k - 1)) return
+    if (c <= nnCorr(base + k - 1)) return false
     var ins = k - 1
     while (ins > 0 && nnCorr(base + ins - 1) < c) {
       nnCorr(base + ins) = nnCorr(base + ins - 1)
@@ -130,5 +161,32 @@ final class StreamingKnn private[core] (val d: Int, val w: Int, val k: Int, star
     }
     nnCorr(base + ins) = c
     nnPos(base + ins) = pos
+    true
+  }
+
+  /** The `ceil(k/2)`-th smallest neighbour position of row `i`, whose own
+    * position is `self`: an insertion sort of the offsets from `self`.
+    */
+  private def turnOf(i: Int, self: Int): Int = {
+    val sorted = sortScratch
+    val base = i * k
+    var t = 0
+    while (t < k) {
+      val off = nnPos(base + t) - self
+      var s = t
+      while (s > 0 && sorted(s - 1) > off) { sorted(s) = sorted(s - 1); s -= 1 }
+      sorted(s) = off
+      t += 1
+    }
+    self + sorted((k + 1) / 2 - 1)
+  }
+
+  /** Turn positions of every row, after construction or deserialisation. */
+  private def rebuildTurns(): Unit = {
+    sortScratch = new Array[Int](k)
+    turnArr = new Array[Int](maxRows)
+    val base = windowStart.toInt
+    var i = 0
+    while (i < rows) { turnArr(i) = turnOf(i, base + i); i += 1 }
   }
 }

@@ -96,6 +96,31 @@ class ClaspScorerSpec extends SparkSpec {
     }
   }
 
+  test("a wider exclusion radius scores only the admissible splits") {
+    val cases = Seq(
+      (Reference.Signals.gaussian(300, 21), 140, 8, Seq(0, 5, 20)),
+      (Reference.Signals.noisySine(400, 20, 0.1, 23), 160, 10, Seq(0, 13)),
+      (Reference.Signals.twoRegimes(400, 200, 18, 45, 0.05, 24), 180, 10, Seq(0, 7, 31)))
+    for ((xs, d, w, scopes) <- cases; s0 <- scopes) {
+      val knn = buildKnn(xs, d, w, 3)
+      val scorer = new ClaspScorer(d - w + 1, 3)
+      scorer.score(knn, s0, ScoreFunction.MacroF1)
+      val full = (1 to scorer.numSplits).map(scorer.profile)
+      val m = knn.numRows - s0
+      val margin = 4 * w + 1 // exclRadius = 5
+      val (zcLo, zcHi) = (margin, math.min(full.size, m - margin))
+      assert(zcLo <= zcHi, s"scope=$s0 has no admissible split")
+      val admissible = (zcLo to zcHi).map(zc => full(zc - 1))
+      val bestZc = zcLo + admissible.indexOf(admissible.max) // the first maximum
+      val res = scorer.score(knn, s0, ScoreFunction.MacroF1, exclRadius = 5)
+      assert(res.bestZeroCount == bestZc, s"scope=$s0")
+      assert(res.bestScore == full(bestZc - 1), s"scope=$s0")
+      val labels = (0 until res.numSubseq).map(scorer.yPred(_))
+      assert(labels == Reference.naiveYPred(knn, s0, bestZc), s"scope=$s0 labels")
+      assert((0 until res.numSubseq).map(scorer.yPred(_)) == labels, s"scope=$s0 labels read twice")
+    }
+  }
+
   test("too-small scopes return no split") {
     val xs = Reference.Signals.gaussian(200, 28)
     val knn = buildKnn(xs, 120, 8, 3)

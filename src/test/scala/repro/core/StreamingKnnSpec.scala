@@ -100,7 +100,7 @@ class StreamingKnnSpec extends SparkSpec {
     val xs = Reference.Signals.twoRegimes(500, 250, 25, 40, 0.1, 14).map(_ + 1e3)
     def bits(knn: StreamingKnn): Seq[Long] =
       Seq(knn.windowStart, knn.numRows.toLong) ++
-        (0 until knn.numRows).flatMap(i => (0 until 3).flatMap(j =>
+        (0 until knn.numRows).flatMap(i => knn.turnPositions(i).toLong +: (0 until 3).flatMap(j =>
           Seq(knn.neighborPos(i, j).toLong, java.lang.Double.doubleToRawLongBits(knn.neighborCorr(i, j)))))
     // Before the first subsequence, while the window grows, as it fills, after eviction.
     for (cut <- Seq(5, 80, 150, 300)) {
@@ -110,6 +110,24 @@ class StreamingKnnSpec extends SparkSpec {
       xs.indices.drop(cut).foreach { t =>
         a.update(xs(t)); b.update(xs(t))
         assert(bits(a) == bits(b), s"cut $cut: differs after point $t")
+      }
+    }
+  }
+
+  test("each row's turn position is the ceil(k/2)-th smallest of its neighbour positions") {
+    // Growth, fill and eviction, from position 0 and from 2^31 - 100.
+    val xs = Reference.Signals.twoRegimes(300, 150, 14, 35, 0.05, 16)
+    for (k <- 1 to 5; start <- Seq(0L, Int.MaxValue.toLong - 100)) {
+      val knn = new StreamingKnn(100, 6, k, start)
+      val h = (k + 1) / 2
+      xs.zipWithIndex.foreach { case (x, t) =>
+        knn.update(x)
+        (0 until knn.numRows).foreach { i =>
+          val self = knn.rowPos(i)
+          val offsets = (0 until k).map(j => knn.neighborPos(i, j) - self).sorted
+          assert(knn.turnPositions(i) - self == offsets(h - 1),
+            s"k=$k start=$start t=$t row=$i: turn ${knn.turnPositions(i) - self}, offsets $offsets")
+        }
       }
     }
   }
