@@ -2,8 +2,9 @@ package repro.stream
 
 import org.apache.spark.sql.SparkSession
 
-/** The one SparkSession bootstrap of the program: the jobs and the test
-  * suites both build their session here, so they run under the same settings.
+/** The one SparkSession bootstrap of the program: the test suites, the
+  * bench suites and perfbench build their session here, so they run under
+  * the same settings.
   *
   * The master comes from `SPARK_MASTER` (default `local[*]`). Shuffle
   * partitions follow the session's own `defaultParallelism` (the cores of a

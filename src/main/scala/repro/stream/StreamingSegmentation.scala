@@ -23,6 +23,15 @@ final case class SensorReading(streamId: String, seq: Long, value: Double)
   */
 final case class DetectedChangePoint(streamId: String, position: Long, detectedSeq: Long)
 
+/** The operator's state for one stream key.
+  *
+  * @param segmenter the stream's ClaSS instance
+  * @param lastSeq   `seq` of the last reading fed to it
+  * @param dropped   readings dropped because their `seq` was not above
+  *                  `lastSeq` (producer retries and late readings)
+  */
+final case class StreamState(segmenter: ClaSS, lastSeq: Long, dropped: Long)
+
 /** ClaSS as a Structured Streaming stateful window operator — the Spark
   * counterpart of the paper's Apache Flink operator (Section 4.4).
   *
@@ -30,13 +39,15 @@ final case class DetectedChangePoint(streamId: String, position: Long, detectedS
   * (kryo-encoded; every piece of ClaSS state is a plain serializable value,
   * including its RNG). Micro-batches deliver reading batches per key; rows
   * are replayed in sequence order through the segmenter and detected change
-  * points are appended downstream. Different keys segment independently and
-  * in parallel — one STSS operator instance per stream, exactly like a keyed
-  * Flink window operator.
+  * points are appended downstream. A reading whose `seq` is not above the
+  * last one fed, a duplicate or a late reading, is dropped and counted, so
+  * it cannot shift the positions of later CPs. Different keys segment
+  * independently and in parallel — one STSS operator instance per stream,
+  * exactly like a keyed Flink window operator.
   */
 object StreamingSegmentation {
 
-  private implicit val stateEncoder: Encoder[ClaSS] = Encoders.kryo[ClaSS]
+  private implicit val stateEncoder: Encoder[StreamState] = Encoders.kryo[StreamState]
 
   /** Wire the segmentation operator over a (streaming or batch) dataset of
     * readings. With a streaming source, run the query with Append output
@@ -48,19 +59,25 @@ object StreamingSegmentation {
     import spark.implicits._
     readings
       .groupByKey(_.streamId)
-      .flatMapGroupsWithState[ClaSS, DetectedChangePoint](
+      .flatMapGroupsWithState[StreamState, DetectedChangePoint](
         OutputMode.Append(), GroupStateTimeout.NoTimeout)(
-        (id: String, rows: Iterator[SensorReading], state: GroupState[ClaSS]) => {
-          val segmenter = state.getOption.getOrElse(new ClaSS(cfg))
+        (id: String, rows: Iterator[SensorReading], state: GroupState[StreamState]) => {
+          val st = state.getOption.getOrElse(StreamState(new ClaSS(cfg), Long.MinValue, 0L))
           // Micro-batches do not guarantee intra-group order: restore it.
           val batch = rows.toArray.sortBy(_.seq)
           val out = Vector.newBuilder[DetectedChangePoint]
+          var lastSeq = st.lastSeq
+          var dropped = st.dropped
           batch.foreach { r =>
-            segmenter.update(r.value).foreach { cp =>
-              out += DetectedChangePoint(id, cp, r.seq)
+            if (r.seq <= lastSeq) dropped += 1
+            else {
+              lastSeq = r.seq
+              st.segmenter.update(r.value).foreach { cp =>
+                out += DetectedChangePoint(id, cp, r.seq)
+              }
             }
           }
-          state.update(segmenter)
+          state.update(StreamState(st.segmenter, lastSeq, dropped))
           out.result().iterator
         })
   }

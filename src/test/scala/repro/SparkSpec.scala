@@ -8,9 +8,9 @@ import repro.stream.LocalSession
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). The session comes from `repro.stream.LocalSession`, the builder
-  * the jobs use, so the evaluation SQL and the stream operator run here
-  * under the jobs' settings.
+  * limit). The session comes from `repro.stream.LocalSession`, the
+  * program's one session builder, so the evaluation SQL and the stream
+  * operator run here under the program's settings.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared

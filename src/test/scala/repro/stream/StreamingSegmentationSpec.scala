@@ -24,34 +24,14 @@ class StreamingSegmentationSpec extends SparkSpec {
     * `chunk` readings per micro-batch, and collect CPs per key.
     */
   private def runStreaming(series: Map[String, Array[Double]], chunk: Int): Map[String, Vector[Long]] = {
-    val session = spark
-    import session.implicits._
-    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-    val input = MemoryStream[SensorReading]
-    val cps = StreamingSegmentation.changePoints(input.toDS(), cfg)
-    val query = cps.writeStream
-      .format("memory")
-      .queryName("cps_out")
-      .outputMode(OutputMode.Append())
-      .start()
-    try {
-      val maxLen = series.values.map(_.length).max
-      var offset = 0
-      while (offset < maxLen) {
-        val batch = series.toSeq.flatMap { case (id, xs) =>
-          (offset until math.min(offset + chunk, xs.length)).map(i => SensorReading(id, i.toLong, xs(i)))
-        }
-        if (batch.nonEmpty) input.addData(batch)
-        query.processAllAvailable()
-        offset += chunk
+    val batches = (0 until series.values.map(_.length).max by chunk).iterator.map { offset =>
+      series.toSeq.flatMap { case (id, xs) =>
+        (offset until math.min(offset + chunk, xs.length)).map(i => SensorReading(id, i.toLong, xs(i)))
       }
-      spark.table("cps_out").as[DetectedChangePoint].collect()
-        .groupBy(_.streamId).view
-        .mapValues(_.map(_.position).toVector.sorted).toMap
-    } finally {
-      query.stop()
-      spark.sql("DROP TABLE IF EXISTS cps_out")
     }
+    MemorySinkQuery.run(spark, cfg, batches).cps
+      .groupBy(_.streamId).view
+      .mapValues(_.map(_.position).sorted).toMap
   }
 
   private def offlineCps(xs: Array[Double]): Vector[Long] =
@@ -95,43 +75,36 @@ class StreamingSegmentationSpec extends SparkSpec {
   }
 
   test("detection sequence numbers never precede the reported position") {
-    val session = spark
-    import session.implicits._
-    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
     val xs = Reference.Signals.twoRegimes(3000, 1500, 20, 50, 0.05, 135)
-    val input = MemoryStream[SensorReading]
-    val query = StreamingSegmentation.changePoints(input.toDS(), cfg)
-      .writeStream.format("memory").queryName("cps_latency")
-      .outputMode(OutputMode.Append()).start()
-    try {
-      input.addData(xs.zipWithIndex.map { case (v, i) => SensorReading("s", i.toLong, v) }.toSeq)
-      query.processAllAvailable()
-      val rows = spark.table("cps_latency").as[DetectedChangePoint].collect()
-      assert(rows.nonEmpty)
-      rows.foreach(r => assert(r.detectedSeq >= r.position))
-    } finally {
-      query.stop()
-      spark.sql("DROP TABLE IF EXISTS cps_latency")
-    }
+    val batch = xs.zipWithIndex.map { case (v, i) => SensorReading("s", i.toLong, v) }.toSeq
+    val rows = MemorySinkQuery.run(spark, cfg, Iterator(batch)).cps
+    assert(rows.nonEmpty)
+    rows.foreach(r => assert(r.detectedSeq >= r.position))
   }
 
   test("the operator keeps one state store per core, not one per idle partition") {
-    val session = spark
-    import session.implicits._
-    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-    val input = MemoryStream[SensorReading]
-    val query = StreamingSegmentation.changePoints(input.toDS(), cfg)
-      .writeStream.format("memory").queryName("cps_partitions")
-      .outputMode(OutputMode.Append()).start()
-    try {
-      input.addData((0 until 600).map(i => SensorReading("s", i.toLong, math.sin(i / 10.0))))
-      query.processAllAvailable()
-      assert(query.lastProgress.stateOperators.head.numShufflePartitions ==
-        spark.sparkContext.defaultParallelism)
-    } finally {
-      query.stop()
-      spark.sql("DROP TABLE IF EXISTS cps_partitions")
-    }
+    val batch = (0 until 600).map(i => SensorReading("s", i.toLong, math.sin(i / 10.0)))
+    val run = MemorySinkQuery.run(spark, cfg, Iterator(batch))
+    assert(run.lastProgress.stateOperators.head.numShufflePartitions ==
+      spark.sparkContext.defaultParallelism)
+  }
+
+  test("duplicate and late readings are dropped, not fed as new points") {
+    val xs = Reference.Signals.twoRegimes(4000, 2000, 20, 50, 0.05, 137)
+    def readings(seqs: Seq[Int]) = seqs.map(i => SensorReading("s", i.toLong, xs(i)))
+    val late = 1500 until 1505
+    val second = readings((1000 until 2000).filterNot(late.contains))
+    // The second micro-batch is resent with the third, together with five
+    // readings older than the last one processed.
+    val batches = Seq(readings(0 until 1000), second,
+      second ++ readings(late) ++ readings(2000 until 3000), readings(3000 until 4000))
+    val got = MemorySinkQuery.run(spark, cfg, batches).cps
+      .map(d => (d.position, d.detectedSeq)).sortBy(_._2)
+    val sequential = new ClaSS(cfg)
+    val want = xs.indices.filterNot(late.contains)
+      .flatMap(i => sequential.update(xs(i)).map(cp => (cp, i.toLong))).toVector
+    assert(want.nonEmpty)
+    assert(got == want)
   }
 
   test("a query restarted from its checkpoint continues the segmentation") {
