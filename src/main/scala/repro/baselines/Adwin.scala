@@ -6,18 +6,18 @@ import scala.collection.mutable.ArrayBuffer
 /** ADWIN — ADaptive WINdowing (Bifet & Gavaldà, SDM 2007).
   *
   * Maintains a variable-length window of the most recent raw observations in
-  * exponential-histogram buckets (at most `maxBuckets` buckets per size row,
-  * `O(log c)` memory and amortized update). Whenever the means of some
-  * old/new sub-window split differ by more than the `delta`-confidence bound
-  * `eps_cut`, the old portion is dropped — the drop boundary is the reported
-  * change point, at least `MinCpGap` after the previous one.
+  * an exponential histogram: one oldest-first list of buckets, in which each
+  * bucket size (a power of two) forms one run of at most `maxBuckets`
+  * buckets, so sizes never grow from old to new (`O(log c)` memory and
+  * amortized update). Whenever the means of some old/new sub-window split
+  * differ by more than the `delta`-confidence bound `eps_cut`, the old
+  * portion is dropped — the drop boundary is the reported change point, at
+  * least `MinCpGap` after the previous one.
   */
 final class Adwin extends StreamSegmenter {
-  override def name: String = "ADWIN"
-
   /** Confidence parameter of `eps_cut` (paper-tuned value 0.01). */
   private val delta = 0.01
-  /** Buckets kept per size row before merging (the classic M = 5). */
+  /** Buckets kept per size before merging (the classic M = 5). */
   private val maxBuckets = 5
 
   /** One exponential-histogram bucket: `size` observations with given sum and
@@ -25,9 +25,7 @@ final class Adwin extends StreamSegmenter {
     */
   private final case class Bucket(size: Long, sum: Double, variance: Double)
 
-  // rows(r) holds buckets of size 2^r, oldest first within a row; row order:
-  // rows(0) = newest (size-1) buckets.
-  private val rows = ArrayBuffer(ArrayBuffer.empty[Bucket])
+  private val buckets = ArrayBuffer.empty[Bucket] // oldest first
   private var total = 0.0
   private var width = 0L
   private var tau = 0L
@@ -35,7 +33,9 @@ final class Adwin extends StreamSegmenter {
 
   override def update(x: Double): Option[Long] = {
     tau += 1
-    insert(x)
+    buckets += Bucket(1L, x, 0.0)
+    total += x
+    width += 1
     compress()
     val dropped = shrinkIfNeeded()
     if (dropped && tau - lastCp >= MinCpGap) {
@@ -44,29 +44,27 @@ final class Adwin extends StreamSegmenter {
     } else None
   }
 
-  private def insert(x: Double): Unit = {
-    rows(0) += Bucket(1L, x, 0.0)
-    total += x
-    width += 1
-  }
-
-  /** Merge the two oldest buckets of any over-full row into the next row. */
+  /** From the newest run to the oldest: merge the two oldest buckets of an
+    * over-full run in place, so that the merged bucket becomes the newest of
+    * the next older run. A run that needs no merge leaves the older runs as
+    * they were, at most `maxBuckets` long.
+    */
   private def compress(): Unit = {
-    var r = 0
-    while (r < rows.length) {
-      if (rows(r).length > maxBuckets) {
-        if (r + 1 == rows.length) rows += ArrayBuffer.empty[Bucket]
-        val b1 = rows(r).remove(0)
-        val b2 = rows(r).remove(0)
-        val n1 = b1.size.toDouble; val n2 = b2.size.toDouble
-        val m1 = b1.sum / n1; val m2 = b2.sum / n2
-        val merged = Bucket(
-          b1.size + b2.size,
-          b1.sum + b2.sum,
-          b1.variance + b2.variance + (n1 * n2 / (n1 + n2)) * (m1 - m2) * (m1 - m2))
-        rows(r + 1) += merged
-      }
-      r += 1
+    var end = buckets.length // one past the newest bucket of the current run
+    while (end > 0) {
+      val size = buckets(end - 1).size
+      var start = end - 1
+      while (start > 0 && buckets(start - 1).size == size) start -= 1
+      if (end - start <= maxBuckets) return
+      val b1 = buckets(start); val b2 = buckets(start + 1)
+      val n1 = b1.size.toDouble; val n2 = b2.size.toDouble
+      val m1 = b1.sum / n1; val m2 = b2.sum / n2
+      buckets(start) = Bucket(
+        b1.size + b2.size,
+        b1.sum + b2.sum,
+        b1.variance + b2.variance + (n1 * n2 / (n1 + n2)) * (m1 - m2) * (m1 - m2))
+      buckets.remove(start + 1)
+      end = start + 1
     }
   }
 
@@ -82,60 +80,33 @@ final class Adwin extends StreamSegmenter {
       // Window variance for the bound.
       val mean = total / width
       var varW = 0.0
-      var r = rows.length - 1
-      while (r >= 0) {
-        rows(r).foreach { b =>
-          val bm = b.sum / b.size
-          varW += b.variance + b.size * (bm - mean) * (bm - mean)
-        }
-        r -= 1
+      buckets.foreach { b =>
+        val bm = b.sum / b.size
+        varW += b.variance + b.size * (bm - mean) * (bm - mean)
       }
       varW /= width
+      val dp = math.log(4.0 * math.log(math.max(2.0, width.toDouble)) / delta)
       // Accumulate the "old" side from the oldest bucket inwards.
       var n0 = 0L; var s0 = 0.0
-      var cut: Option[Int] = None // how many oldest buckets to drop (global order)
-      val flat = flatOldestFirst()
+      var cut = 0 // how many oldest buckets to drop
       var i = 0
-      while (cut.isEmpty && i < flat.length - 1) {
-        val b = flat(i)
-        n0 += b.size; s0 += b.sum
+      while (cut == 0 && i < buckets.length - 1) {
+        n0 += buckets(i).size; s0 += buckets(i).sum
         val n1 = width - n0
         if (n0 >= 5 && n1 >= 5) {
           val m = 1.0 / (1.0 / n0 + 1.0 / n1)
-          val dp = math.log(4.0 * math.log(math.max(2.0, width.toDouble)) / delta)
           val eps = math.sqrt(2.0 / m * varW * dp) + 2.0 / (3.0 * m) * dp
-          val diff = math.abs(s0 / n0 - (total - s0) / n1)
-          if (diff > eps) cut = Some(i + 1)
+          if (math.abs(s0 / n0 - (total - s0) / n1) > eps) cut = i + 1
         }
         i += 1
       }
-      cut.foreach { nDrop =>
-        dropOldest(nDrop)
+      if (cut > 0) {
+        buckets.iterator.take(cut).foreach { b => total -= b.sum; width -= b.size }
+        buckets.remove(0, cut)
         droppedAny = true
         again = width > 10
       }
     }
     droppedAny
-  }
-
-  private def flatOldestFirst(): ArrayBuffer[Bucket] = {
-    val out = ArrayBuffer.empty[Bucket]
-    var r = rows.length - 1
-    while (r >= 0) { out ++= rows(r); r -= 1 }
-    out
-  }
-
-  private def dropOldest(n: Int): Unit = {
-    var remaining = n
-    var r = rows.length - 1
-    while (remaining > 0 && r >= 0) {
-      while (remaining > 0 && rows(r).nonEmpty) {
-        val b = rows(r).remove(0)
-        total -= b.sum
-        width -= b.size
-        remaining -= 1
-      }
-      r -= 1
-    }
   }
 }

@@ -14,10 +14,10 @@ import repro.core.StreamSegmenter
   * The run-length support is truncated at `maxRunLength` (tail mass folds
   * into the last bin) — the paper's untruncated O(n) variant did not finish
   * on the archive tier and is excluded there, which we mirror (DESIGN.md §2).
+  * Each step writes the grown posterior into a second preallocated buffer
+  * and swaps the two, so `update` allocates nothing.
   */
 final class Bocd extends StreamSegmenter {
-  override def name: String = "BOCD"
-
   /** Expected run length of the geometric prior (constant hazard 1/250). */
   private val hazardLambda = 250.0
   /** MAP run-length drop in one step that signals a change. */
@@ -30,8 +30,9 @@ final class Bocd extends StreamSegmenter {
   private val kap = new Array[Double](maxRunLength + 1)
   private val alp = new Array[Double](maxRunLength + 1)
   private val bet = new Array[Double](maxRunLength + 1)
-  private val growth = new Array[Double](maxRunLength + 1)
+  // Run-length posterior, and the buffer the next step writes it into.
   private var probs = new Array[Double](maxRunLength + 1)
+  private var spare = new Array[Double](maxRunLength + 1)
   private var support = 0 // current max run length represented
   private var tau = 0L
   private var lastCp = FarPast
@@ -87,26 +88,22 @@ final class Bocd extends StreamSegmenter {
       return None
     }
 
+    // Grow run length r into r+1 in the spare buffer (the last bin also
+    // keeps its own mass: truncation); the change mass restarts at 0.
     val h = 1.0 / hazardLambda
+    val next = spare
+    java.util.Arrays.fill(next, 0.0)
     var cpMass = 0.0
     val newSupport = math.min(support + 1, maxRunLength)
     var r = support
     while (r >= 0) {
       val pred = math.exp(math.max(-700.0, studentTLogPdf(x, r)))
       val mass = probs(r) * pred
-      growth(r) = mass * (1 - h)
+      next(math.min(r + 1, maxRunLength)) += mass * (1 - h)
       cpMass += mass * h
       r -= 1
     }
-    // Shift growth: run length r becomes r+1 (truncate into the last bin).
-    val next = new Array[Double](maxRunLength + 1)
     next(0) = cpMass
-    r = 0
-    while (r <= support) {
-      val dst = math.min(r + 1, maxRunLength)
-      next(dst) += growth(r)
-      r += 1
-    }
     var total = 0.0
     r = 0
     while (r <= newSupport) { total += next(r); r += 1 }
@@ -117,6 +114,7 @@ final class Bocd extends StreamSegmenter {
       r = 0
       while (r <= newSupport) { next(r) /= total; r += 1 }
     }
+    spare = probs
     probs = next
 
     // Update sufficient statistics: posterior for run r+1 comes from run r.

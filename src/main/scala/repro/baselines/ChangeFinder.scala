@@ -76,8 +76,6 @@ private[baselines] final class Sdar(order: Int, discount: Double) extends Serial
   * at least `MinCpGap` after the previous one.
   */
 final class ChangeFinder extends StreamSegmenter {
-  override def name: String = "ChangeFinder"
-
   /** AR order and discounting factor of both SDAR stages. */
   private val order = 2
   private val discount = 0.01

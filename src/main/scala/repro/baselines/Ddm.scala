@@ -12,8 +12,6 @@ import repro.core.StreamSegmenter
   * after the previous one, and the statistics reset. `O(1)` per observation.
   */
 final class Ddm extends StreamSegmenter {
-  override def name: String = "DDM"
-
   /** Number of `s_min` above `p_min` that triggers a drift (classic value 3). */
   private val driftLevel = 3.0
   /** Observations after a reset before testing again. */

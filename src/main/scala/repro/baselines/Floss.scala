@@ -27,8 +27,6 @@ import repro.core.{CorrelationStream, StreamSegmenter}
   * @param widthHint subsequence width (the paper takes it from annotations)
   */
 final class Floss(d: Int, widthHint: Int) extends StreamSegmenter {
-  override def name: String = "FLOSS"
-
   /** CAC valley threshold (paper-tuned 0.45). */
   private val threshold = 0.45
   private val w = math.max(3, math.min(widthHint, d / 10))

@@ -13,8 +13,6 @@ import repro.core.StreamSegmenter
   * `MinCpGap` after the previous drift. `O(1)` per observation.
   */
 final class Hddm extends StreamSegmenter {
-  override def name: String = "HDDM"
-
   /** Drift confidence (smaller = fewer reported drifts). */
   private val alpha = 0.001
 

@@ -16,8 +16,6 @@ import repro.core.{Rng, StreamSegmenter}
   * @param seed seed of the random Fourier features
   */
 final class Newma(seed: Long = 13L) extends StreamSegmenter {
-  override def name: String = "NEWMA"
-
   /** Delay-embedding dimension. */
   private val embedDim = 16
   /** Number of random Fourier features. */

@@ -15,8 +15,6 @@ import repro.core.StreamSegmenter
   * @param widthHint annotated subsequence width of the series
   */
 final class WindowSegmenter(widthHint: Int) extends StreamSegmenter {
-  override def name: String = "Window"
-
   /** Relative cost-gain threshold (paper-tuned 0.2). */
   private val threshold = 0.2
   private val c = math.max(40, 10 * widthHint)

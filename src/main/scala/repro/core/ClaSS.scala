@@ -88,8 +88,6 @@ final case class ClaSSConfig(
 final class ClaSS private[core] (val cfg: ClaSSConfig, start: Long) extends StreamSegmenter {
   def this(cfg: ClaSSConfig) = this(cfg, 0L)
 
-  override def name: String = "ClaSS"
-
   private val rng = new Rng(cfg.seed)
   private var warmup: Array[Double] = new Array[Double](cfg.effectiveWarmup)
   private var warmupLen = 0

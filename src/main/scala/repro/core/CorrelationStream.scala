@@ -25,7 +25,9 @@ final class CorrelationStream private[core] (val d: Int, val w: Int, start: Long
   def this(d: Int, w: Int) = this(d, w, 0L)
 
   require(w >= 3, s"subsequence width must be >= 3, got $w")
-  require(d >= w, s"window d=$d shorter than the subsequence width $w")
+  // d > w: with a single row nothing shifts, so df/dg are never set and the
+  // co-moment would stop advancing once the window evicts.
+  require(d > w, s"window d=$d not longer than the subsequence width $w")
 
   /** Exclusion radius: subsequences closer than this many positions are
     * trivial matches, which neither the k-NN rows nor FLOSS's arcs admit.

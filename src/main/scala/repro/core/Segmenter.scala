@@ -10,9 +10,6 @@ package repro.core
   */
 trait StreamSegmenter extends Serializable {
 
-  /** Stable method name used in result tables. */
-  def name: String
-
   /** Ingest one observation; returns a change-point position if one is
     * detected at this step.
     */

@@ -61,8 +61,14 @@ object Sweep {
       cov, predicted.size, series.changePoints.size, series.values.length, elapsedMs)
   }
 
+  /** Whether `method` runs on `spec`'s tier: BOCD only on the benchmark
+    * tier, as in the paper (it did not finish on the archives).
+    */
+  def runsOn(method: String, spec: SeriesSpec): Boolean =
+    !(method == "BOCD" && spec.tier == SyntheticCorpus.Archive)
+
   /** Run the sweep for the given specs; method set per tier as in the paper
-    * (BOCD only on the benchmark tier).
+    * ([[runsOn]]).
     */
   def run(spark: SparkSession, specs: Seq[SeriesSpec], d: Int,
           methods: Seq[String] = AllMethods): Dataset[EvalRow] = {
@@ -70,7 +76,7 @@ object Sweep {
     val grid: Seq[(SeriesSpec, String)] = for {
       spec <- specs
       m <- methods
-      if !(m == "BOCD" && spec.tier == SyntheticCorpus.Archive)
+      if runsOn(m, spec)
     } yield (spec, m)
     // One task per grid cell; series regeneration is cheap and deterministic.
     spark

@@ -26,11 +26,11 @@ final case class DetectedChangePoint(streamId: String, position: Long, detectedS
 /** The operator's state for one stream key.
   *
   * @param segmenter the stream's ClaSS instance
-  * @param lastSeq   `seq` of the last reading fed to it
-  * @param dropped   readings dropped because their `seq` was not above
-  *                  `lastSeq` (producer retries and late readings)
+  * @param lastSeq   `seq` of the last reading fed to it; a reading whose
+  *                  `seq` is not above it (a producer retry or a late
+  *                  reading) is dropped
   */
-final case class StreamState(segmenter: ClaSS, lastSeq: Long, dropped: Long)
+final case class StreamState(segmenter: ClaSS, lastSeq: Long)
 
 /** ClaSS as a Structured Streaming stateful window operator — the Spark
   * counterpart of the paper's Apache Flink operator (Section 4.4).
@@ -40,10 +40,10 @@ final case class StreamState(segmenter: ClaSS, lastSeq: Long, dropped: Long)
   * including its RNG). Micro-batches deliver reading batches per key; rows
   * are replayed in sequence order through the segmenter and detected change
   * points are appended downstream. A reading whose `seq` is not above the
-  * last one fed, a duplicate or a late reading, is dropped and counted, so
-  * it cannot shift the positions of later CPs. Different keys segment
-  * independently and in parallel — one STSS operator instance per stream,
-  * exactly like a keyed Flink window operator.
+  * last one fed, a duplicate or a late reading, is dropped, so it cannot
+  * shift the positions of later CPs. Different keys segment independently
+  * and in parallel — one STSS operator instance per stream, exactly like a
+  * keyed Flink window operator.
   */
 object StreamingSegmentation {
 
@@ -62,22 +62,20 @@ object StreamingSegmentation {
       .flatMapGroupsWithState[StreamState, DetectedChangePoint](
         OutputMode.Append(), GroupStateTimeout.NoTimeout)(
         (id: String, rows: Iterator[SensorReading], state: GroupState[StreamState]) => {
-          val st = state.getOption.getOrElse(StreamState(new ClaSS(cfg), Long.MinValue, 0L))
+          val st = state.getOption.getOrElse(StreamState(new ClaSS(cfg), Long.MinValue))
           // Micro-batches do not guarantee intra-group order: restore it.
           val batch = rows.toArray.sortBy(_.seq)
           val out = Vector.newBuilder[DetectedChangePoint]
           var lastSeq = st.lastSeq
-          var dropped = st.dropped
           batch.foreach { r =>
-            if (r.seq <= lastSeq) dropped += 1
-            else {
+            if (r.seq > lastSeq) {
               lastSeq = r.seq
               st.segmenter.update(r.value).foreach { cp =>
                 out += DetectedChangePoint(id, cp, r.seq)
               }
             }
           }
-          state.update(StreamState(st.segmenter, lastSeq, dropped))
+          state.update(StreamState(st.segmenter, lastSeq))
           out.result().iterator
         })
   }

@@ -34,6 +34,4 @@ class AdwinSpec extends SparkSpec {
     val cps = StreamSegmenter.segmentSeries(new Adwin(), xs)
     assert(cps.forall(cp => cp > 0 && cp < 4000))
   }
-
-  test("name is stable") { assert(new Adwin().name == "ADWIN") }
 }

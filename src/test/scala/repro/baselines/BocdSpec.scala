@@ -41,6 +41,4 @@ class BocdSpec extends SparkSpec {
     assert(detectedAt >= 0)
     assert(position <= detectedAt)
   }
-
-  test("name is stable") { assert(new Bocd().name == "BOCD") }
 }

@@ -54,6 +54,4 @@ class ChangeFinderSpec extends SparkSpec {
   test("respects the minimum gap") {
     Gaps.assertSpaced(StreamSegmenter.segmentSeries(new ChangeFinder(), Gaps.pulses(97)), MinCpGap)
   }
-
-  test("name is stable") { assert(new ChangeFinder().name == "ChangeFinder") }
 }

@@ -56,8 +56,6 @@ class DriftDetectorsSpec extends SparkSpec {
     Gaps.assertSpaced(StreamSegmenter.segmentSeries(new Ddm(), Gaps.pulses(66)), MinCpGap)
   }
 
-  test("DDM name is stable") { assert(new Ddm().name == "DDM") }
-
   test("HDDM stays silent on stationary noise") {
     val cps = StreamSegmenter.segmentSeries(new Hddm(), Reference.Signals.gaussian(5000, 67))
     assert(cps.size <= 1, s"cps=$cps")
@@ -69,6 +67,4 @@ class DriftDetectorsSpec extends SparkSpec {
     assert(cps.nonEmpty)
     assert(cps.exists(cp => cp >= 2300 && cp <= 3100), s"cps=$cps")
   }
-
-  test("HDDM name is stable") { assert(new Hddm().name == "HDDM") }
 }

@@ -44,6 +44,4 @@ class FlossSpec extends SparkSpec {
     val cps = StreamSegmenter.segmentSeries(new Floss(500, 400), xs)
     assert(cps.forall(cp => cp > 0 && cp < 3000))
   }
-
-  test("name is stable") { assert(new Floss(500, 20).name == "FLOSS") }
 }

@@ -33,6 +33,4 @@ class NewmaSpec extends SparkSpec {
   test("respects the minimum gap") {
     Gaps.assertSpaced(StreamSegmenter.segmentSeries(new Newma(), Gaps.pulses(85)), MinCpGap)
   }
-
-  test("name is stable") { assert(new Newma().name == "NEWMA") }
 }

@@ -48,6 +48,4 @@ class WindowSegmenterSpec extends SparkSpec {
       case _            =>
     }
   }
-
-  test("name is stable") { assert(new WindowSegmenter(20).name == "Window") }
 }

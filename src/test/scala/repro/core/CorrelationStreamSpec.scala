@@ -78,5 +78,6 @@ class CorrelationStreamSpec extends SparkSpec {
   test("parameter validation") {
     intercept[IllegalArgumentException] { new CorrelationStream(100, 2) } // w too small
     intercept[IllegalArgumentException] { new CorrelationStream(9, 10) } // window shorter than w
+    intercept[IllegalArgumentException] { new CorrelationStream(10, 10) } // one row: never shifts
   }
 }

@@ -8,7 +8,6 @@ class SegmenterSpec extends SparkSpec {
 
   /** Stub that emits a fixed CP at configured steps. */
   private final class Stub(emitAt: Map[Int, Long]) extends StreamSegmenter {
-    override def name = "stub"
     private var i = -1
     override def update(x: Double): Option[Long] = { i += 1; emitAt.get(i) }
   }
@@ -34,7 +33,6 @@ class SegmenterSpec extends SparkSpec {
   test("driver feeds every point exactly once") {
     var count = 0
     val seg = new StreamSegmenter {
-      override def name = "counter"
       override def update(x: Double): Option[Long] = { count += 1; None }
     }
     StreamSegmenter.segmentSeries(seg, new Array[Double](123))
