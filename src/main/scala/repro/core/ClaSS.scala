@@ -137,11 +137,11 @@ final class ClaSS private[core] (val cfg: ClaSSConfig, start: Long) extends Stre
   private def step(x: Double): Option[Long] = {
     knn.update(x)
     if (!knn.ready) return None
-    if (scorer == null) scorer = new ClaspScorer(cfg.d - w + 1, cfg.k)
+    if (scorer == null) scorer = new ClaspScorer(cfg.d - w + 1)
     // Clamp the scope to the window: a long-completed segment may have
     // partially slid out already (Definition 4 allows that).
     val scopeStart = math.max(0L, lastCp - knn.windowStart).toInt
-    val split = scorer.score(knn, scopeStart, cfg.scoreFunction, exclRadius = cfg.exclRadius)
+    val split = scorer.score(knn, scopeStart, cfg.scoreFunction, cfg.exclRadius, cfg.minScore)
     if (split.bestZeroCount < 0) { passStreak = 0; return None }
     if (split.bestScore < cfg.minScore) { passStreak = 0; return None }
     val p = Wilcoxon.significanceP(

@@ -29,7 +29,8 @@ final case class SplitScore(bestZeroCount: Int, bestScore: Double, numSubseq: In
 
 /** Algorithm 3: cross-validating the self-supervised k-NN classifier for
   * every hypothetical split of the unsegmented window suffix in `O(d)` per
-  * call (`O(1)` per split).
+  * call (`O(1)` per split), unless a bound shows first that no split can
+  * reach the caller's minimum score.
   *
   * At split `zc` the first `zc` subsequences of the scope are labelled 0 and
   * the rest 1; a neighbour before the scope is always 0. So a neighbour at
@@ -46,11 +47,19 @@ final case class SplitScore(bestZeroCount: Int, bestScore: Double, numSubseq: In
   * confusion matrix; the labels at the best split (for the significance
   * test) follow from the turn points when [[yPred]] is read.
   *
+  * With a finite `minScore`, a [[SplitCoverage]] first keeps the confusion
+  * counts of every split current across k-NN steps, at a few `O(log d)`
+  * range-adds per step, and its branch-and-bound descent tries to prove that
+  * no admissible split reaches `minScore`. Only a step it cannot reject is
+  * swept: the worst case stays `O(d)`, but most steps of a stream cost far
+  * less. A rejected step's outcome is the one the sweep would have led to,
+  * because the bound is never below the sweep's own floating-point score.
+  *
   * All buffers are preallocated to `maxRows` and reused across calls — the
   * scorer runs once per stream observation, so per-call allocation would
   * dominate the segmenter's runtime.
   */
-final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
+final class ClaspScorer(maxRows: Int) extends Serializable {
 
   // Per local subsequence: its turn point (the first split at which its
   // predicted label is 0), until yPred turns it into its label at the best
@@ -68,6 +77,9 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
   // naive recomputation.
   private val profileArr = new Array[Double](maxRows)
   private var profileLen = 0
+  // Split counts for the rejection test; built on the first call that has a
+  // finite minScore.
+  @transient private var coverage: SplitCoverage = _
 
   /** Predicted label of local subsequence `j` at the best split of the last
     * `score` call (the significance test's input). Valid until the next call,
@@ -103,11 +115,15 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     *                   leaving at least `exclRadius * knn.w` points on each side
     *                   compete for the maximum (ClaSP's CP exclusion radius;
     *                   claspy default 5). `1` admits every computable split.
-    * @return the best split (or `bestZeroCount = -1` when the scope is too
-    *         small for any admissible split)
+    * @param minScore   the score below which the caller discards the best
+    *                   split; when no admissible split can reach it, the
+    *                   sweep is skipped. `-∞` always sweeps.
+    * @return the best split, or `bestZeroCount = -1` when the scope is too
+    *         small for any admissible split or no admissible split reaches
+    *         `minScore` (then [[profile]] and [[yPred]] are not written)
     */
   def score(knn: StreamingKnn, scopeStart: Int, f: String,
-            exclRadius: Int = 1): SplitScore = {
+            exclRadius: Int = 1, minScore: Double = Double.NegativeInfinity): SplitScore = {
     val w = knn.w
     val useF1 = f == ScoreFunction.MacroF1
     val m = knn.numRows - scopeStart
@@ -121,6 +137,11 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     profileLen = 0
     labelZc = -1
     if (zMax < 1 || zcLo > zcHi) return SplitScore(-1, 0.0, math.max(0, m))
+    if (minScore > Double.NegativeInfinity) {
+      if (coverage == null) coverage = new SplitCoverage(maxRows)
+      coverage.sync(knn, scopeStart)
+      if (coverage.rejects(zcLo, zcHi, useF1, minScore)) return SplitScore(-1, 0.0, m)
+    }
 
     // --- turn points and the confusion matrix n[trueLabel][predLabel] at
     // split 0, where every in-scope label is 1 -------------------------------
@@ -151,12 +172,7 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
       n11 -= turnsRight(zc); n10 += turnsRight(zc)
       n01 -= turnsLeft(zc); n00 += turnsLeft(zc)
       if (zc >= zcLo) {
-        val s =
-          if (useF1) {
-            val f1c1 = { val den = 2 * n11 + n10 + n01; if (den == 0) 0.0 else 2.0 * n11 / den }
-            val f1c0 = { val den = 2 * n00 + n01 + n10; if (den == 0) 0.0 else 2.0 * n00 / den }
-            (f1c0 + f1c1) / 2.0
-          } else (n11 + n00).toDouble / m
+        val s = if (useF1) ClaspScorer.macroF1(n00, n11, n10 + n01) else (n11 + n00).toDouble / m
         profileArr(zc) = s
         if (s > bestScore) { bestScore = s; bestZc = zc }
       }
@@ -166,5 +182,19 @@ final class ClaspScorer(maxRows: Int, k: Int) extends Serializable {
     labelZc = bestZc
     labelLen = m
     SplitScore(bestZc, bestScore, m)
+  }
+}
+
+object ClaspScorer {
+  /** Macro F1 of a split's confusion counts: the mean of the two classes'
+    * F1 `2h/(2h+e)`, with `h` the class's hits (`n00`, `n11`) and `e` the
+    * errors `n10 + n01`; a class with `2h + e = 0` scores 0.
+    */
+  private[core] def macroF1(n00: Int, n11: Int, errors: Int): Double =
+    (f1(n00, errors) + f1(n11, errors)) / 2.0
+
+  private def f1(hits: Int, errors: Int): Double = {
+    val den = 2 * hits + errors
+    if (den == 0) 0.0 else 2.0 * hits / den
   }
 }

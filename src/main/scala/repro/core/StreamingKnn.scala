@@ -21,7 +21,9 @@ package repro.core
   * only when a neighbour enters the row (and once for each new row), so the
   * scorer needs no per-row sort. The cache follows from the rows alone: it is
   * `@transient`, not serialised, and rebuilt on first use after
-  * deserialisation.
+  * deserialisation. Each update also lists the older rows whose turn position
+  * it changed ([[changedTurns]]), so the scorer's split counts
+  * ([[SplitCoverage]]) follow the rows without a pass over them.
   *
   * Neighbour identities are stored as **absolute** subsequence positions
   * (index of the subsequence's first point since stream start) in an `Int`,
@@ -68,6 +70,9 @@ final class StreamingKnn private[core] (val d: Int, val w: Int, val k: Int, star
   // that sorts one row's positions.
   @transient private var turnArr: Array[Int] = _
   @transient private var sortScratch: Array[Int] = _
+  // Rows whose turn position the last update changed (see changedTurns).
+  @transient private var changedArr: Array[Int] = _
+  @transient private var changedLen = 0
   // Newest-subsequence index from which every row holds k admissible neighbours.
   private val readyRow = 2 * exclusion + k - 2
 
@@ -105,9 +110,20 @@ final class StreamingKnn private[core] (val d: Int, val w: Int, val k: Int, star
     turnArr
   }
 
+  /** Row indices (after the last `update`) of the rows, other than the new
+    * one, whose turn position the last `update` changed; the first
+    * [[changedTurnCount]] entries are valid. Shared buffer, read-only; empty
+    * until the first `update` after deserialisation.
+    */
+  def changedTurns: Array[Int] = changedArr
+
+  /** Number of valid entries of [[changedTurns]]. */
+  def changedTurnCount: Int = changedLen
+
   /** Ingest one observation; updates the correlations, then the k-NN rows. */
   def update(x: Double): Unit = {
     val turns = turnPositions
+    changedLen = 0
     val evicted = stream.length == d
     stream.update(x)
     if (stream.hasCorrelations) maintainRows(stream.newestIndex, evicted, stream.correlations, turns)
@@ -134,7 +150,10 @@ final class StreamingKnn private[core] (val d: Int, val w: Int, val k: Int, star
     var i = 0
     while (i <= lim) {
       insertIfCloser(e, base + i, corr(i))
-      if (insertIfCloser(i, newPos, corr(i))) turns(i) = turnOf(i, base + i)
+      if (insertIfCloser(i, newPos, corr(i))) {
+        val t = turnOf(i, base + i)
+        if (t != turns(i)) { turns(i) = t; changedArr(changedLen) = i; changedLen += 1 }
+      }
       i += 1
     }
     turns(e) = turnOf(e, newPos)
@@ -185,6 +204,8 @@ final class StreamingKnn private[core] (val d: Int, val w: Int, val k: Int, star
   private def rebuildTurns(): Unit = {
     sortScratch = new Array[Int](k)
     turnArr = new Array[Int](maxRows)
+    changedArr = new Array[Int](maxRows)
+    changedLen = 0
     val base = windowStart.toInt
     var i = 0
     while (i < rows) { turnArr(i) = turnOf(i, base + i); i += 1 }

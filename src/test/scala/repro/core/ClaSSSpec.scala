@@ -171,25 +171,40 @@ class ClaSSSpec extends SparkSpec {
   test("a kryo round trip mid-stream keeps the segmentation and carries only state") {
     // Spark's KryoSerializer, the serialiser behind the operator's Encoders.kryo state.
     val kryo = new org.apache.spark.serializer.KryoSerializer(new org.apache.spark.SparkConf(false)).newInstance()
-    val xs = SyntheticCorpus.generate(SyntheticCorpus.specs(1).filter(_.dataset == "mHealth").head).values
-    val cuts = Set(500, 2500, 5000)
-    var c = new ClaSS(ClaSSConfig())
-    val got = xs.indices.flatMap { i =>
-      if (cuts(i)) {
-        val bytes = kryo.serialize(c)
-        if (c.width > 0) {
-          // The window, cov and the k-NN rows (positions and correlations), plus
-          // a little for the counters, the RNG and the config; no scratch.
-          val rows = c.cfg.d - c.width + 1
-          val bound = 8L * c.cfg.d + 8L * rows + 12L * c.cfg.k * rows + 1024
-          assert(bytes.remaining() < bound, s"${bytes.remaining()} bytes at point $i")
+    val mHealth = SyntheticCorpus.generate(SyntheticCorpus.specs(1).filter(_.dataset == "mHealth").head).values
+    // mHealth reports its first two CPs at points 999 and 2283: the cuts right
+    // after them rebuild the scorer's split counts from a scope that starts
+    // inside the window. In the two-regime stream nothing is reported before
+    // its change at 2000, so at point 1500 the scope is clamped to the window
+    // start.
+    val cases = Seq(
+      (ClaSSConfig(), mHealth, Set(500, 1000, 2284, 2500, 5000), 9),
+      (ClaSSConfig(d = 500), Reference.Signals.twoRegimes(4000, 2000, 20, 50, 0.05, 41), Set(1500), 1))
+    for ((cfg, xs, cuts, cpCount) <- cases) {
+      var c = new ClaSS(cfg)
+      val got = xs.indices.flatMap { i =>
+        if (cuts(i)) {
+          val bytes = kryo.serialize(c)
+          if (c.width > 0) {
+            // The window, cov and the k-NN rows (positions and correlations), plus
+            // a little for the counters, the RNG and the config; no scratch.
+            val rows = c.cfg.d - c.width + 1
+            val bound = 8L * c.cfg.d + 8L * rows + 12L * c.cfg.k * rows + 1024
+            assert(bytes.remaining() < bound, s"${bytes.remaining()} bytes at point $i")
+          }
+          c = kryo.deserialize[ClaSS](bytes)
         }
-        c = kryo.deserialize[ClaSS](bytes)
-      }
-      c.update(xs(i)).map(cp => (cp, i))
-    }.toVector
-    assert(got == detections(new ClaSS(ClaSSConfig()), xs))
-    assert(got.size == 9)
+        c.update(xs(i)).map(cp => (cp, i))
+      }.toVector
+      assert(got == detections(new ClaSS(cfg), xs))
+      assert(got.size == cpCount)
+      // Where each cut falls: the last CP reported before it against the window start.
+      val scopes = cuts.toSeq.sorted.map(i => (got.filter(_._2 < i).lastOption.fold(0L)(_._1), math.max(0, i - cfg.d)))
+      if (cpCount == 9) {
+        assert(got.take(2).map(_._2 + 1) == Vector(1000, 2284))
+        assert(scopes(1)._1 > scopes(1)._2 && scopes(2)._1 > scopes(2)._2, s"scopes $scopes")
+      } else assert(scopes.forall { case (cp, ws) => cp < ws }, s"scopes $scopes")
+    }
   }
 
   test("a non-finite reading is replaced by the last finite one and counted") {

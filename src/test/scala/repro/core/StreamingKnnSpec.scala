@@ -137,7 +137,7 @@ class StreamingKnnSpec extends SparkSpec {
     val xs = Reference.Signals.twoRegimes(400, 200, 16, 40, 0.05, 15)
     val a = new StreamingKnn(120, 8, 3)
     val b = new StreamingKnn(120, 8, 3, start)
-    val scorer = new ClaspScorer(120 - 8 + 1, 3)
+    val scorer = new ClaspScorer(120 - 8 + 1)
     xs.foreach { x =>
       a.update(x); b.update(x)
       assert(b.windowStart == a.windowStart + start)

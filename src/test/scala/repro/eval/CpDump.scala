@@ -13,21 +13,34 @@ import repro.data.SyntheticCorpus
   * keeps the CP lines only.)
   *
   * For each seed argument, every series of `SyntheticCorpus.specs(seed)` runs
-  * through every method of [[Sweep.AllMethods]] at Table 3's settings
+  * through every method of [[Sweep.AllMethods]], or only the one named by
+  * `--method <name>` (for instance `CpDump --method ClaSS 42`), at Table 3's settings
   * (d = 2000; BOCD on the benchmark tier only, [[Sweep.runsOn]]). One line
   * per (series, method): `<dataset>-<seriesId> <method> <position>@<index>,…`,
   * where `index` is the stream index of the point whose update reported the
-  * CP. `specs(42)` is about 0.98M points; one seed takes a minute or two.
+  * CP. `specs(42)` is about 0.98M points; one seed takes a minute or two for
+  * all nine methods. A filtered dump prints the same lines as the full one,
+  * less the other methods'.
   */
 object CpDump {
+  private val Usage = "usage: CpDump [--method <name>] <seed> [<seed> …]"
+
   def main(args: Array[String]): Unit = {
-    require(args.nonEmpty, "usage: CpDump <seed> [<seed> …]")
+    val (methods, seeds) = args.indexOf("--method") match {
+      case -1 => (Sweep.AllMethods, args.toSeq)
+      case i =>
+        require(i + 1 < args.length, Usage)
+        val name = args(i + 1)
+        require(Sweep.AllMethods.contains(name), s"unknown method $name; one of ${Sweep.AllMethods.mkString(", ")}")
+        (Seq(name), args.toSeq.patch(i, Nil, 2))
+    }
+    require(seeds.nonEmpty, Usage)
     for {
-      seed <- args.map(_.toLong)
+      seed <- seeds.map(_.toLong)
       spec <- SyntheticCorpus.specs(seed)
     } {
       val xs = SyntheticCorpus.generate(spec).values
-      for (m <- Sweep.AllMethods if Sweep.runsOn(m, spec)) {
+      for (m <- methods if Sweep.runsOn(m, spec)) {
         val seg = Sweep.createMethod(m, d = 2000, spec.widthHint)
         val cps = xs.indices.flatMap(i => seg.update(xs(i)).map(cp => s"$cp@$i"))
         println(s"${spec.dataset}-${spec.seriesId} $m ${cps.mkString(",")}")
