@@ -67,17 +67,17 @@ final case class ClaSSConfig(
 /** ClaSS — Classification Score Stream (Algorithm 1).
   *
   * Streaming time series segmentation by self-supervision: a streaming k-NN
-  * over sliding-window subsequences ([[StreamingKnn]]), an `O(d)` incremental
-  * cross-validation of every hypothetical split ([[ClaspScorer]]), and a
+  * over sliding-window subsequences ([[StreamingKnn]]), a cross-validation
+  * of every hypothetical split that finds the best one ([[ClaspScorer]]), and a
   * two-sided Wilcoxon rank-sum test with class-stratified resampling that
-  * turns the profile maximum into a reported change point. Only the suffix
+  * turns the best split into a reported change point. Only the suffix
   * after the last reported change point is scored.
   *
   * Phases: (1) buffer the first [[ClaSSConfig.effectiveWarmup]] points and
   * learn the subsequence width with SuSS; (2) replay the buffer through the
   * k-NN so segmentation covers the stream from its first observation
-  * (Subsection 3.4); (3) steady state — one k-NN update plus one profile
-  * sweep per point.
+  * (Subsection 3.4); (3) steady state — one k-NN update plus one search for
+  * the best split scoring at least [[ClaSSConfig.minScore]] per point.
   *
   * Missing values: a non-finite reading (NaN, ±Inf) is replaced by the last
   * finite one (0.0 before any), so positions stay aligned with the stream;
@@ -92,8 +92,8 @@ final class ClaSS private[core] (val cfg: ClaSSConfig, start: Long) extends Stre
   private var warmup: Array[Double] = new Array[Double](cfg.effectiveWarmup)
   private var warmupLen = 0
   private var knn: StreamingKnn = _
-  // The sweep's per-step buffers: not state, so not serialised; rebuilt on
-  // the first scored step after deserialisation.
+  // The scorer's split counts: not state, so not serialised; rebuilt on the
+  // first scored step after deserialisation.
   @transient private var scorer: ClaspScorer = _
   private var w: Int = -1
   private var lastCp: Long = 0L // absolute position of the last reported CP
@@ -143,7 +143,6 @@ final class ClaSS private[core] (val cfg: ClaSSConfig, start: Long) extends Stre
     val scopeStart = math.max(0L, lastCp - knn.windowStart).toInt
     val split = scorer.score(knn, scopeStart, cfg.scoreFunction, cfg.exclRadius, cfg.minScore)
     if (split.bestZeroCount < 0) { passStreak = 0; return None }
-    if (split.bestScore < cfg.minScore) { passStreak = 0; return None }
     val p = Wilcoxon.significanceP(
       scorer.yPred, split.numSubseq, split.bestZeroCount, cfg.sampleSize, rng)
     if (p < cfg.significance) {

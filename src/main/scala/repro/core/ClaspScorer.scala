@@ -21,65 +21,83 @@ object ScoreFunction {
   * predicted labels needed by the significance test.
   *
   * @param bestZeroCount number of left (class-0) subsequences at the best
-  *                      split; `-1` when no split was scorable
-  * @param bestScore     cross-validation score of the best split
+  *                      split; `-1` when no admissible split reached the
+  *                      caller's minimum score
+  * @param bestScore     cross-validation score of the best split; 0 when
+  *                      there is none
   * @param numSubseq     number of subsequences in the scored scope
   */
 final case class SplitScore(bestZeroCount: Int, bestScore: Double, numSubseq: Int)
 
 /** Algorithm 3: cross-validating the self-supervised k-NN classifier for
-  * every hypothetical split of the unsegmented window suffix in `O(d)` per
-  * call (`O(1)` per split), unless a bound shows first that no split can
-  * reach the caller's minimum score.
+  * every hypothetical split of the unsegmented window suffix, by a
+  * branch-and-bound search over misclassification counts kept current
+  * across k-NN steps.
   *
-  * At split `zc` the first `zc` subsequences of the scope are labelled 0 and
-  * the rest 1; a neighbour before the scope is always 0. So a neighbour at
-  * local position `L` votes 0 exactly when `L < zc`, and subsequence `j`,
-  * which predicts 0 once `h = ceil(k/2)` of its `k` neighbours vote 0,
-  * predicts 0 from its turn point `max(0, L_h + 1)` on, where `L_h` is the
-  * h-th smallest local position among its neighbours. The k-NN keeps each
-  * row's h-th smallest neighbour position ([[StreamingKnn.turnPositions]]),
-  * so one pass over the rows reads every turn point and counts it at its
-  * split, with no per-row sort. From one split to the next, the one
-  * subsequence whose true label flips moves its confusion cell, and the
-  * subsequences that turn at the new split move their prediction 1 -> 0.
-  * Only admissible splits are scored, each in constant time from the
-  * confusion matrix; the labels at the best split (for the significance
-  * test) follow from the turn points when [[yPred]] is read.
+  * Split positions are absolute: split `s` labels the in-scope subsequences
+  * before position `s` zero and the rest one; a neighbour before the scope is
+  * always zero. A subsequence predicts 0 once `h = ceil(k/2)` of its `k`
+  * neighbours vote 0, so the one at position `P` predicts 0 from its turn
+  * point `t` on: its h-th smallest neighbour position
+  * ([[StreamingKnn.turnPositions]]) plus one. It is
+  *  - true 1, predicted 0 (n10) exactly for `s ∈ [t, P]`, and
+  *  - true 0, predicted 1 (n01) exactly for `s ∈ [P+1, t−1]`.
+  * These intervals do not depend on the scope start, only which rows count
+  * does. A = n10 and B = n01 per split position are range-add counts in a
+  * segment tree whose nodes hold min A, min B and min(A+B). At a split with
+  * `zc` zero-labelled subsequences of a scope of `m`, `n00 = zc − B` and
+  * `n11 = m − zc − A`.
   *
-  * With a finite `minScore`, a [[SplitCoverage]] first keeps the confusion
-  * counts of every split current across k-NN steps, at a few `O(log d)`
-  * range-adds per step, and its branch-and-bound descent tries to prove that
-  * no admissible split reaches `minScore`. Only a step it cannot reject is
-  * swept: the worst case stays `O(d)`, but most steps of a stream cost far
-  * less. A rejected step's outcome is the one the sweep would have led to,
-  * because the bound is never below the sweep's own floating-point score.
+  * Keeping the counts current costs a few `O(log d)` range-adds per k-NN
+  * step:
+  *  - a turn change `t → t'` moves only the splits `[min(t,t'), max(t,t')−1]`:
+  *    A for those at or before `P`, B the other way for those after it;
+  *  - a new row adds its n10 interval (its neighbours all lie before it);
+  *  - a row that slides out of a scope clamped to the window start removes
+  *    its n01 interval (its n10 interval ends before every in-scope split).
+  * Any other change of the scope, a k-NN other than the last one seen, or a
+  * skipped update rebuilds the counts in `O(d)` from the turn positions.
   *
-  * All buffers are preallocated to `maxRows` and reused across calls — the
-  * scorer runs once per stream observation, so per-call allocation would
-  * dominate the segmenter's runtime.
+  * The leaves cover `n >= 2·(maxRows+1)` split positions from `base`, the
+  * window start at the last rebuild; once the window's newest row would pass
+  * the last leaf, the counts are rebuilt from the current window start, so no
+  * range ever wraps. The tree uses range-adds without push-down: a node's
+  * value is the min over its children plus its own pending add, so the true
+  * min of a subtree is its root's value plus the adds of its ancestors.
+  *
+  * The best split is the leftmost highest-scoring admissible one. The descent
+  * walks the tree left child first and prunes every range whose score bound
+  * is below its threshold: first `minScore`, then just above the best leaf
+  * found so far. So it visits at most `O(d)` nodes, and on most steps of a
+  * stream far fewer, as no split reaches `minScore`.
+  *
+  * Not state: [[ClaSS]] holds one transiently, and the first call after
+  * deserialisation rebuilds the counts. All buffers are preallocated to
+  * `maxRows` and reused across calls, which run once per stream observation.
+  *
+  * @param maxRows most k-NN rows the window holds (`d - w + 1`)
   */
-final class ClaspScorer(maxRows: Int) extends Serializable {
+final class ClaspScorer(maxRows: Int) {
+  private val n = Integer.highestOneBit(2 * (maxRows + 1) - 1) << 1
+  private val minA = new Array[Int](2 * n)
+  private val minB = new Array[Int](2 * n)
+  private val minAB = new Array[Int](2 * n)
+  private val addA = new Array[Int](n) // pending adds of the internal nodes
+  private val addB = new Array[Int](n)
+  // Per row position (relative to base): the turn point its counts hold.
+  private val turnAt = new Array[Int](n)
+  private var base = 0L
+  // Rows [from, end) relative to base are counted: the scope.
+  private var from = 0
+  private var end = 0
+  private var synced: StreamingKnn = _
+  private var syncedClock = 0L
 
-  // Per local subsequence: its turn point (the first split at which its
-  // predicted label is 0), until yPred turns it into its label at the best
-  // split.
+  // Labels at the best split of the last call, written when first read.
   private val yPredArr = new Array[Int](maxRows)
   // Best split of the last call whose labels yPred has not yet written; -1
   // once written or when the call found no split.
   private var labelZc = -1
-  private var labelLen = 0
-  // Per split: how many subsequences turn 0 there while their own true label
-  // is still 1 (`j >= zc`), and how many turn while it is already 0.
-  private val turnsRight = new Array[Int](maxRows + 1)
-  private val turnsLeft = new Array[Int](maxRows + 1)
-  // ClaSP profile of the admissible splits; the tests compare it with the
-  // naive recomputation.
-  private val profileArr = new Array[Double](maxRows)
-  private var profileLen = 0
-  // Split counts for the rejection test; built on the first call that has a
-  // finite minScore.
-  @transient private var coverage: SplitCoverage = _
 
   /** Predicted label of local subsequence `j` at the best split of the last
     * `score` call (the significance test's input). Valid until the next call,
@@ -88,25 +106,16 @@ final class ClaspScorer(maxRows: Int) extends Serializable {
   def yPred: Array[Int] = {
     if (labelZc >= 0) {
       // 0 exactly when the prediction turned 0 by the best split.
+      val m = end - from
       var j = 0
-      while (j < labelLen) { yPredArr(j) = if (yPredArr(j) <= labelZc) 0 else 1; j += 1 }
+      while (j < m) { yPredArr(j) = if (turnAt(from + j) <= from + labelZc) 0 else 1; j += 1 }
       labelZc = -1
     }
     yPredArr
   }
 
-  /** ClaSP values of the last call: entry `zc` (1-based) is the score of the
-    * split with `zc` zero-labelled subsequences. Written only for the
-    * admissible splits of that call (all of `1..numSplits` at
-    * `exclRadius = 1`); entry 0 is unused.
-    */
-  def profile(zc: Int): Double = profileArr(zc)
-
-  /** Number of computable splits (max zero count) of the last call. */
-  def numSplits: Int = profileLen
-
-  /** Score every admissible split of the scope `[scopeStart, knn.numRows)`
-    * and leave [[yPred]] at the best one.
+  /** Find the best admissible split of the scope `[scopeStart, knn.numRows)`
+    * that scores at least `minScore`, and leave [[yPred]] at it.
     *
     * @param knn        the streaming k-NN (must be `ready`)
     * @param scopeStart first row of the unsegmented scope
@@ -116,16 +125,14 @@ final class ClaspScorer(maxRows: Int) extends Serializable {
     *                   compete for the maximum (ClaSP's CP exclusion radius;
     *                   claspy default 5). `1` admits every computable split.
     * @param minScore   the score below which the caller discards the best
-    *                   split; when no admissible split can reach it, the
-    *                   sweep is skipped. `-∞` always sweeps.
-    * @return the best split, or `bestZeroCount = -1` when the scope is too
-    *         small for any admissible split or no admissible split reaches
-    *         `minScore` (then [[profile]] and [[yPred]] are not written)
+    *                   split; `-∞` finds the best split whatever its score
+    * @return the first split with the highest score, or `bestZeroCount = -1`
+    *         when the scope is too small for any admissible split or no
+    *         admissible split reaches `minScore`
     */
   def score(knn: StreamingKnn, scopeStart: Int, f: String,
-            exclRadius: Int = 1, minScore: Double = Double.NegativeInfinity): SplitScore = {
+            exclRadius: Int, minScore: Double): SplitScore = {
     val w = knn.w
-    val useF1 = f == ScoreFunction.MacroF1
     val m = knn.numRows - scopeStart
     val zMax = m - w - 2 // splits leave w subsequences untouched on each side
     // Admissible range under the minimum-segment-size rule: a split with zc
@@ -134,54 +141,212 @@ final class ClaspScorer(maxRows: Int) extends Serializable {
     val margin = math.max(0, (exclRadius - 1) * w + 1)
     val zcLo = math.max(1, margin)
     val zcHi = math.min(zMax, m - margin)
-    profileLen = 0
     labelZc = -1
     if (zMax < 1 || zcLo > zcHi) return SplitScore(-1, 0.0, math.max(0, m))
-    if (minScore > Double.NegativeInfinity) {
-      if (coverage == null) coverage = new SplitCoverage(maxRows)
-      coverage.sync(knn, scopeStart)
-      if (coverage.rejects(zcLo, zcHi, useF1, minScore)) return SplitScore(-1, 0.0, m)
-    }
-
-    // --- turn points and the confusion matrix n[trueLabel][predLabel] at
-    // split 0, where every in-scope label is 1 -------------------------------
-    val scopeBasePos = (knn.windowStart + scopeStart).toInt // positions wrap alike
-    val turns = knn.turnPositions
-    java.util.Arrays.fill(turnsRight, 0, zcHi + 1, 0)
-    java.util.Arrays.fill(turnsLeft, 0, zcHi + 1, 0)
-    var n11 = 0; var n10 = 0; var n01 = 0; var n00 = 0
-    var j = 0
-    while (j < m) {
-      val turn = math.max(0, turns(scopeStart + j) - scopeBasePos + 1)
-      yPredArr(j) = turn
-      if (turn == 0) n10 += 1 else n11 += 1
-      if (turn <= zcHi) { if (j >= turn) turnsRight(turn) += 1 else turnsLeft(turn) += 1 }
-      j += 1
-    }
-
-    // --- sweep: flip one subsequence per split, score the admissible ones ---
-    // At split zc, subsequence j's true label is 1 iff j >= zc.
-    var bestZc = -1
-    var bestScore = Double.NegativeInfinity
-    var zc = 1
-    while (zc <= zcHi) {
-      // The flipped subsequence's (true, pred) cell moves rows 1 -> 0; its
-      // prediction is still the one of split zc - 1.
-      if (yPredArr(zc - 1) >= zc) { n11 -= 1; n01 += 1 } else { n10 -= 1; n00 += 1 }
-      // Predictions that turn 1 -> 0 at this split.
-      n11 -= turnsRight(zc); n10 += turnsRight(zc)
-      n01 -= turnsLeft(zc); n00 += turnsLeft(zc)
-      if (zc >= zcLo) {
-        val s = if (useF1) ClaspScorer.macroF1(n00, n11, n10 + n01) else (n11 + n00).toDouble / m
-        profileArr(zc) = s
-        if (s > bestScore) { bestScore = s; bestZc = zc }
-      }
-      zc += 1
-    }
-    profileLen = zMax
+    sync(knn, scopeStart)
+    best(zcLo, zcHi, f == ScoreFunction.MacroF1, minScore)
     labelZc = bestZc
-    labelLen = m
     SplitScore(bestZc, bestScore, m)
+  }
+
+  /** Bring the counts in step with `knn`'s rows and the scope
+    * `[scopeStart, knn.numRows)`.
+    */
+  private[core] def sync(knn: StreamingKnn, scopeStart: Int): Unit = {
+    val ws = knn.windowStart
+    val clock = ws + knn.length // points ingested since the stream's start
+    val steps = clock - syncedClock
+    if ((knn ne synced) || steps < 0 || steps > 1 || ws + knn.numRows > base + n) rebuild(knn, scopeStart)
+    else {
+      if (steps == 1) step(knn)
+      if ((ws - base).toInt + scopeStart != from) rebuild(knn, scopeStart)
+    }
+  }
+
+  /** Apply the last k-NN update: the row that left the window, the rows
+    * whose turn point changed, the new row.
+    */
+  private def step(knn: StreamingKnn): Unit = {
+    val rel = (knn.windowStart - base).toInt
+    val baseInt = base.toInt // turn positions wrap alike
+    val turns = knn.turnPositions
+    while (from < rel) { removeRow(from); from += 1 }
+    val changed = knn.changedTurns
+    var c = 0
+    while (c < knn.changedTurnCount) {
+      val p = rel + changed(c)
+      if (p >= from) retarget(p, turns(changed(c)) + 1 - baseInt)
+      c += 1
+    }
+    val newEnd = rel + knn.numRows
+    while (end < newEnd) { addRow(end, turns(end - rel) + 1 - baseInt); end += 1 }
+    syncedClock += 1
+  }
+
+  private def rebuild(knn: StreamingKnn, scopeStart: Int): Unit = {
+    base = knn.windowStart
+    from = scopeStart
+    end = knn.numRows
+    synced = knn
+    syncedClock = base + knn.length
+    val baseInt = base.toInt
+    val turns = knn.turnPositions
+    // The leaves first hold the difference arrays of A and B.
+    java.util.Arrays.fill(minA, n, 2 * n, 0)
+    java.util.Arrays.fill(minB, n, 2 * n, 0)
+    var p = from
+    while (p < end) {
+      val t = turns(p) + 1 - baseInt
+      turnAt(p) = t
+      if (t <= p) { minA(n + math.max(t, 0)) += 1; minA(n + p + 1) -= 1 }
+      else if (t > p + 1) { minB(n + p + 1) += 1; minB(n + t) -= 1 }
+      p += 1
+    }
+    var i = n + 1
+    while (i < 2 * n) { minA(i) += minA(i - 1); minB(i) += minB(i - 1); i += 1 }
+    i = n
+    while (i < 2 * n) { minAB(i) = minA(i) + minB(i); i += 1 }
+    java.util.Arrays.fill(addA, 0)
+    java.util.Arrays.fill(addB, 0)
+    i = n - 1
+    while (i >= 1) { pullNode(i); i -= 1 }
+  }
+
+  private def addRow(p: Int, t: Int): Unit = {
+    turnAt(p) = t
+    if (t <= p) add(true, t, p, 1)
+    else if (t > p + 1) add(false, p + 1, t - 1, 1)
+  }
+
+  private def removeRow(p: Int): Unit = {
+    val t = turnAt(p)
+    if (t > p + 1) add(false, p + 1, t - 1, -1)
+  }
+
+  private def retarget(p: Int, t2: Int): Unit = {
+    val t = turnAt(p)
+    if (t2 == t) return
+    turnAt(p) = t2
+    val lo = math.min(t, t2)
+    val hi = math.max(t, t2) - 1
+    // An earlier turn predicts 0 on [t2, t-1]: n11 -> n10 up to p, n01 -> n00 after.
+    val d = if (t2 < t) 1 else -1
+    add(true, lo, math.min(hi, p), d)
+    add(false, math.max(lo, p + 1), hi, -d)
+  }
+
+  /** Add `v` to A (or B) over the leaves `[l, r]`, clipped at leaf 0. */
+  private def add(toA: Boolean, l: Int, r: Int, v: Int): Unit = {
+    val l0 = math.max(l, 0)
+    if (l0 > r) return
+    var lo = l0 + n
+    var hi = r + n + 1
+    while (lo < hi) {
+      if ((lo & 1) == 1) { applyAdd(toA, lo, v); lo += 1 }
+      if ((hi & 1) == 1) { hi -= 1; applyAdd(toA, hi, v) }
+      lo >>= 1; hi >>= 1
+    }
+    pullPath(l0 + n)
+    pullPath(r + n)
+  }
+
+  private def applyAdd(toA: Boolean, p: Int, v: Int): Unit = {
+    if (toA) { minA(p) += v; if (p < n) addA(p) += v }
+    else { minB(p) += v; if (p < n) addB(p) += v }
+    minAB(p) += v
+  }
+
+  private def pullPath(leaf: Int): Unit = {
+    var p = leaf >> 1
+    while (p >= 1) { pullNode(p); p >>= 1 }
+  }
+
+  private def pullNode(p: Int): Unit = {
+    val l = 2 * p
+    minA(p) = math.min(minA(l), minA(l + 1)) + addA(p)
+    minB(p) = math.min(minB(l), minB(l + 1)) + addB(p)
+    minAB(p) = math.min(minAB(l), minAB(l + 1)) + addA(p) + addB(p)
+  }
+
+  /** A = n10 at the split with `zc` zero-labelled subsequences. */
+  private[core] def a(zc: Int): Int = pointValue(minA, addA, from + zc)
+
+  /** B = n01 at the split with `zc` zero-labelled subsequences. */
+  private[core] def b(zc: Int): Int = pointValue(minB, addB, from + zc)
+
+  private def pointValue(v: Array[Int], pending: Array[Int], leaf: Int): Int = {
+    var p = (leaf + n) >> 1
+    var s = v(leaf + n)
+    while (p >= 1) { s += pending(p); p >>= 1 }
+    s
+  }
+
+  // The range, score function and threshold of the running descent, and the
+  // best split it found.
+  private var qLo = 0
+  private var qHi = 0
+  private var useF1 = true
+  private var threshold = 0.0
+  private var visit: (Int, Int, Boolean, Double) => Unit = _
+  private var bestZc = -1
+  private var bestScore = 0.0
+
+  /** The first split with `zc ∈ [zcLo, zcHi]` zero-labelled subsequences
+    * whose score is the highest and at least `minScore`, or `-1`.
+    *
+    * Over a range `[lo, hi]` of splits, `n00 <= hi − min B`,
+    * `n11 <= m − lo − min A` and `n10 + n01 >= min(A+B)`. A class's F1,
+    * `2h/(2h+e)`, rises with its hits `h` and falls with the errors `e`, so
+    * [[ClaspScorer.macroF1]] of those three bounds every split's macro F1 in
+    * the range from above (accuracy: `1 − min(A+B)/m`). Correctly rounded
+    * division, addition and halving are monotone, so the bound holds for the
+    * floating-point scores too; at a leaf it is the split's score. The
+    * descent visits the leaves left to right and keeps a leaf only if it
+    * scores strictly above every leaf kept before it: the threshold rises to
+    * `nextUp` of each kept score. So it keeps the first maximum, and every
+    * range it prunes holds only splits that would not be kept.
+    *
+    * @param visit called with each range the descent checks (local `lo`,
+    *              `hi`, whether it is one leaf, its bound); `null` outside
+    *              the tests
+    */
+  private[core] def best(zcLo: Int, zcHi: Int, macroF1: Boolean, minScore: Double,
+                         visit: (Int, Int, Boolean, Double) => Unit = null): Int = {
+    qLo = from + zcLo
+    qHi = from + zcHi
+    useF1 = macroF1
+    threshold = minScore
+    this.visit = visit
+    bestZc = -1
+    bestScore = 0.0
+    descend(1, 0, n - 1, 0, 0)
+    bestZc
+  }
+
+  private def descend(p: Int, nl: Int, nr: Int, pendA: Int, pendB: Int): Unit = {
+    val l = math.max(nl, qLo)
+    val r = math.min(nr, qHi)
+    if (l > r) return
+    val m = end - from
+    val a = minA(p) + pendA
+    val b = minB(p) + pendB
+    val e = minAB(p) + pendA + pendB
+    val bound =
+      if (useF1) ClaspScorer.macroF1(r - from - b, m - (l - from) - a, e)
+      else (m - e).toDouble / m
+    if (visit != null) visit(l - from, r - from, p >= n, bound)
+    if (bound < threshold) return
+    if (p >= n) {
+      bestZc = l - from
+      bestScore = bound
+      threshold = math.nextUp(bound)
+    } else {
+      val mid = (nl + nr) >>> 1
+      val ca = pendA + addA(p)
+      val cb = pendB + addB(p)
+      descend(2 * p, nl, mid, ca, cb)
+      descend(2 * p + 1, mid + 1, nr, ca, cb)
+    }
   }
 }
 

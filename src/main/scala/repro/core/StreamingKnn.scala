@@ -22,8 +22,8 @@ package repro.core
   * scorer needs no per-row sort. The cache follows from the rows alone: it is
   * `@transient`, not serialised, and rebuilt on first use after
   * deserialisation. Each update also lists the older rows whose turn position
-  * it changed ([[changedTurns]]), so the scorer's split counts
-  * ([[SplitCoverage]]) follow the rows without a pass over them.
+  * it changed ([[changedTurns]]), so the split counts of the
+  * [[ClaspScorer]] follow the rows without a pass over them.
   *
   * Neighbour identities are stored as **absolute** subsequence positions
   * (index of the subsequence's first point since stream start) in an `Int`,

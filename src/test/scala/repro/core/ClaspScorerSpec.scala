@@ -5,6 +5,8 @@ import repro.data.SyntheticCorpus
 
 class ClaspScorerSpec extends SparkSpec {
 
+  private val NoMinScore = Double.NegativeInfinity
+
   private def buildKnn(xs: Array[Double], d: Int, w: Int, k: Int): StreamingKnn = {
     val knn = new StreamingKnn(d, w, k)
     xs.foreach(knn.update)
@@ -12,26 +14,38 @@ class ClaspScorerSpec extends SparkSpec {
     knn
   }
 
+  /** The split `score` must return for a scope of `m` subsequences whose
+    * profile (entry `zc - 1` for split `zc`) is `profile`: the first maximum
+    * over the splits admissible at `exclRadius`, if it reaches `minScore`.
+    */
+  private def expected(profile: IndexedSeq[Double], m: Int, w: Int, exclRadius: Int,
+                       minScore: Double): SplitScore = {
+    val margin = math.max(0, (exclRadius - 1) * w + 1)
+    val admissible = math.max(1, margin) to math.min(profile.size, m - margin)
+    if (admissible.isEmpty) return SplitScore(-1, 0.0, math.max(0, m))
+    var bestZc = admissible.head
+    admissible.foreach(zc => if (profile(zc - 1) > profile(bestZc - 1)) bestZc = zc)
+    if (profile(bestZc - 1) >= minScore) SplitScore(bestZc, profile(bestZc - 1), m)
+    else SplitScore(-1, 0.0, m)
+  }
+
+  private def labels(scorer: ClaspScorer, res: SplitScore): Seq[Int] = scorer.yPred.take(res.numSubseq).toSeq
+
   private def compareWithNaive(xs: Array[Double], d: Int, w: Int, k: Int,
                                scopeStarts: Seq[Int], f: String): Unit = {
     val knn = buildKnn(xs, d, w, k)
     val scorer = new ClaspScorer(d - w + 1)
     scopeStarts.foreach { s0 =>
       val naive = Reference.naiveProfile(knn, s0, w, f == ScoreFunction.MacroF1)
-      val res = scorer.score(knn, s0, f)
-      assert(scorer.numSplits == naive.size, s"scope=$s0 splits ${scorer.numSplits} vs ${naive.size}")
-      naive.indices.foreach { idx =>
-        val zc = idx + 1
-        assert(math.abs(scorer.profile(zc) - naive(idx)) < 1e-9,
-          s"scope=$s0 zc=$zc incremental=${scorer.profile(zc)} naive=${naive(idx)}")
-      }
-      if (naive.nonEmpty) {
-        val bestNaive = naive.max
-        assert(math.abs(res.bestScore - bestNaive) < 1e-9)
-        assert(math.abs(naive(res.bestZeroCount - 1) - bestNaive) < 1e-12)
-        val labels = (0 until res.numSubseq).map(scorer.yPred(_))
-        assert(labels == Reference.naiveYPred(knn, s0, res.bestZeroCount), s"scope=$s0 labels")
-      }
+      assert(naive.nonEmpty, s"scope=$s0 has no split")
+      val m = knn.numRows - s0
+      val want = expected(naive, m, w, 1, NoMinScore)
+      val res = scorer.score(knn, s0, f, 1, NoMinScore)
+      assert(res == want, s"scope=$s0")
+      assert(labels(scorer, res) == Reference.naiveYPred(knn, s0, res.bestZeroCount), s"scope=$s0 labels")
+      assert(scorer.score(knn, s0, f, 1, want.bestScore) == want, s"scope=$s0 at the best score")
+      assert(scorer.score(knn, s0, f, 1, math.nextUp(want.bestScore)) == SplitScore(-1, 0.0, m),
+        s"scope=$s0 above the best score")
     }
   }
 
@@ -83,15 +97,37 @@ class ClaspScorerSpec extends SparkSpec {
     }
   }
 
+  test("the turn-point reference sweep equals the naive profile and labels") {
+    val cases = Seq(
+      (Reference.Signals.gaussian(300, 21), 140, 8, 3, Seq(0, 5, 20)),
+      (Reference.Signals.noisySine(400, 20, 0.1, 23), 160, 10, 3, Seq(0, 13)),
+      (Reference.Signals.gaussian(260, 25), 120, 7, 1, Seq(0, 3)),
+      (Reference.Signals.gaussian(280, 37), 130, 7, 2, Seq(0, 4, 19)),
+      (Reference.Signals.twoRegimes(360, 180, 17, 43, 0.1, 38), 160, 8, 4, Seq(0, 6, 25)),
+      (Reference.Signals.gaussian(320, 26), 150, 7, 5, Seq(0, 11)))
+    for ((xs, d, w, k, scopes) <- cases; s0 <- scopes) {
+      val knn = buildKnn(xs, d, w, k)
+      for (useF1 <- Seq(true, false)) {
+        val naive = Reference.naiveProfile(knn, s0, w, useF1)
+        assert(naive.nonEmpty)
+        assert(Reference.sweepProfile(knn, s0, w, useF1) == naive, s"k=$k scope=$s0 useF1=$useF1")
+      }
+      val turns = Reference.turnPoints(knn, s0)
+      (1 to knn.numRows - s0).foreach { zc =>
+        assert(turns.toSeq.map(t => if (t <= zc) 0 else 1) == Reference.naiveYPred(knn, s0, zc), s"k=$k scope=$s0 zc=$zc")
+      }
+    }
+  }
+
   test("yPred holds the labels at the best split") {
     val xs = Reference.Signals.twoRegimes(350, 175, 16, 40, 0.05, 27)
     val knn = buildKnn(xs, 150, 8, 3)
     val scorer = new ClaspScorer(150 - 8 + 1)
     for (exclRadius <- Seq(1, 3, 5)) {
-      val res = scorer.score(knn, 0, ScoreFunction.MacroF1, exclRadius = exclRadius)
+      val res = scorer.score(knn, 0, ScoreFunction.MacroF1, exclRadius, NoMinScore)
       assert(res.bestZeroCount >= 1)
       val naive = Reference.naiveYPred(knn, 0, res.bestZeroCount)
-      val got = (0 until res.numSubseq).map(scorer.yPred(_))
+      val got = labels(scorer, res)
       assert(got == naive, s"exclRadius=$exclRadius zc=${res.bestZeroCount}")
       assert(got.contains(0) && got.contains(1))
     }
@@ -105,20 +141,19 @@ class ClaspScorerSpec extends SparkSpec {
     for ((xs, d, w, scopes) <- cases; s0 <- scopes) {
       val knn = buildKnn(xs, d, w, 3)
       val scorer = new ClaspScorer(d - w + 1)
-      scorer.score(knn, s0, ScoreFunction.MacroF1)
-      val full = (1 to scorer.numSplits).map(scorer.profile)
+      val full = Reference.naiveProfile(knn, s0, w, useF1 = true)
       val m = knn.numRows - s0
       val margin = 4 * w + 1 // exclRadius = 5
       val (zcLo, zcHi) = (margin, math.min(full.size, m - margin))
       assert(zcLo <= zcHi, s"scope=$s0 has no admissible split")
       val admissible = (zcLo to zcHi).map(zc => full(zc - 1))
       val bestZc = zcLo + admissible.indexOf(admissible.max) // the first maximum
-      val res = scorer.score(knn, s0, ScoreFunction.MacroF1, exclRadius = 5)
+      val res = scorer.score(knn, s0, ScoreFunction.MacroF1, 5, NoMinScore)
       assert(res.bestZeroCount == bestZc, s"scope=$s0")
       assert(res.bestScore == full(bestZc - 1), s"scope=$s0")
-      val labels = (0 until res.numSubseq).map(scorer.yPred(_))
-      assert(labels == Reference.naiveYPred(knn, s0, bestZc), s"scope=$s0 labels")
-      assert((0 until res.numSubseq).map(scorer.yPred(_)) == labels, s"scope=$s0 labels read twice")
+      val got = labels(scorer, res)
+      assert(got == Reference.naiveYPred(knn, s0, bestZc), s"scope=$s0 labels")
+      assert(labels(scorer, res) == got, s"scope=$s0 labels read twice")
     }
   }
 
@@ -127,20 +162,8 @@ class ClaspScorerSpec extends SparkSpec {
     val knn = buildKnn(xs, 120, 8, 3)
     val scorer = new ClaspScorer(120 - 8 + 1)
     // Scope with fewer than w + 3 subsequences.
-    val res = scorer.score(knn, knn.numRows - 9, ScoreFunction.MacroF1)
-    assert(res.bestZeroCount == -1)
-    assert(scorer.numSplits == 0)
-  }
-
-  test("profile scores stay within [0, 1]") {
-    val xs = Reference.Signals.twoRegimes(400, 200, 20, 44, 0.2, 29)
-    val knn = buildKnn(xs, 170, 9, 3)
-    val scorer = new ClaspScorer(170 - 9 + 1)
-    scorer.score(knn, 0, ScoreFunction.MacroF1)
-    (1 to scorer.numSplits).foreach { zc =>
-      val v = scorer.profile(zc)
-      assert(v >= 0.0 && v <= 1.0, s"zc=$zc score=$v")
-    }
+    val res = scorer.score(knn, knn.numRows - 9, ScoreFunction.MacroF1, 1, NoMinScore)
+    assert(res == SplitScore(-1, 0.0, 9))
   }
 
   test("a clear regime change yields a profile peak near the true boundary") {
@@ -148,7 +171,7 @@ class ClaspScorerSpec extends SparkSpec {
     val xs = Reference.Signals.twoRegimes(400, 250, 16, 40, 0.02, 31)
     val knn = buildKnn(xs, 250, 8, 3)
     val scorer = new ClaspScorer(250 - 8 + 1)
-    val res = scorer.score(knn, 0, ScoreFunction.MacroF1)
+    val res = scorer.score(knn, 0, ScoreFunction.MacroF1, 1, NoMinScore)
     val peakAbs = knn.windowStart + res.bestZeroCount + 8 - 1
     assert(math.abs(peakAbs - 250) <= 25, s"peak at $peakAbs, truth 250")
     assert(res.bestScore > 0.8, s"score ${res.bestScore}")
@@ -161,13 +184,11 @@ class ClaspScorerSpec extends SparkSpec {
     val knn1 = buildKnn(xs1, d, w, 3)
     val knn2 = buildKnn(xs2, d, w, 3)
     val scorer = new ClaspScorer(d - w + 1)
-    scorer.score(knn1, 0, ScoreFunction.MacroF1)
-    val second = scorer.score(knn2, 0, ScoreFunction.MacroF1)
+    scorer.score(knn1, 0, ScoreFunction.MacroF1, 1, NoMinScore)
+    val second = scorer.score(knn2, 0, ScoreFunction.MacroF1, 1, NoMinScore)
     val naive = Reference.naiveProfile(knn2, 0, w, useF1 = true)
-    naive.indices.foreach { idx =>
-      assert(math.abs(scorer.profile(idx + 1) - naive(idx)) < 1e-9)
-    }
-    assert(math.abs(second.bestScore - naive.max) < 1e-9)
+    assert(second == expected(naive, knn2.numRows, w, 1, NoMinScore))
+    assert(labels(scorer, second) == Reference.naiveYPred(knn2, 0, second.bestZeroCount))
   }
 
   /** The scope start of a stream whose unsegmented suffix begins at the
@@ -185,8 +206,7 @@ class ClaspScorerSpec extends SparkSpec {
     val skipped = Set(230, 231)
     for (k <- 1 to 5; start <- Seq(0L, Int.MaxValue.toLong - 100)) {
       val knn = new StreamingKnn(d, w, k, start)
-      val cov = new SplitCoverage(d - w + 1)
-      val sweep = new ClaspScorer(d - w + 1)
+      val scorer = new ClaspScorer(d - w + 1)
       var scopeAbs = start
       var leaves = 0
       xs.indices.foreach { t =>
@@ -197,29 +217,29 @@ class ClaspScorerSpec extends SparkSpec {
         val zMax = m - w - 2
         if (knn.ready && zMax >= 1 && !skipped(t)) {
           val ctx = s"k=$k start=$start t=$t scope=$s0"
-          cov.sync(knn, s0)
+          scorer.sync(knn, s0)
           (1 to zMax).foreach { zc =>
             val pred = Reference.naiveYPred(knn, s0, zc)
             val n10 = (zc until m).count(pred(_) == 0)
             val n01 = (0 until zc).count(pred(_) == 1)
-            assert((cov.a(zc), cov.b(zc)) == (n10, n01), s"$ctx zc=$zc")
+            assert((scorer.a(zc), scorer.b(zc)) == (n10, n01), s"$ctx zc=$zc")
           }
-          for (f <- Seq(ScoreFunction.MacroF1, ScoreFunction.Accuracy)) {
-            val best = sweep.score(knn, s0, f).bestScore
-            val exact = (1 to zMax).map(sweep.profile)
-            val f1 = f == ScoreFunction.MacroF1
-            for (minScore <- Seq(0.75, best)) {
-              val passed = !cov.rejects(1, zMax, f1, minScore, (lo, hi, leaf, bound) => {
-                assert(lo >= 1 && hi <= zMax && lo <= hi, s"$ctx $f range [$lo, $hi]")
-                assert(bound >= (lo to hi).map(zc => exact(zc - 1)).max, s"$ctx $f range [$lo, $hi]")
+          for (f1 <- Seq(true, false)) {
+            val exact = Reference.naiveProfile(knn, s0, w, f1)
+            val best = exact.max
+            val bestZc = exact.indexOf(best) + 1 // the first maximum
+            for (minScore <- Seq(NoMinScore, 0.75, best)) {
+              val found = scorer.best(1, zMax, f1, minScore, (lo, hi, leaf, bound) => {
+                assert(lo >= 1 && hi <= zMax && lo <= hi, s"$ctx f1=$f1 range [$lo, $hi]")
+                assert(bound >= (lo to hi).map(zc => exact(zc - 1)).max, s"$ctx f1=$f1 range [$lo, $hi]")
                 if (leaf) {
                   leaves += 1
-                  assert(lo == hi && bound == exact(lo - 1), s"$ctx $f leaf $lo: $bound vs ${exact(lo - 1)}")
+                  assert(lo == hi && bound == exact(lo - 1), s"$ctx f1=$f1 leaf $lo: $bound vs ${exact(lo - 1)}")
                 }
               })
-              assert(passed == (best >= minScore), s"$ctx $f minScore=$minScore best=$best")
+              assert(found == (if (best >= minScore) bestZc else -1), s"$ctx f1=$f1 minScore=$minScore best=$best")
             }
-            assert(cov.rejects(1, zMax, f1, math.nextUp(best)), s"$ctx $f above the best score")
+            assert(scorer.best(1, zMax, f1, math.nextUp(best)) == -1, s"$ctx f1=$f1 above the best score")
           }
         }
       }
@@ -228,6 +248,8 @@ class ClaspScorerSpec extends SparkSpec {
   }
 
   test("with minScore, a step is either rejected below it or scored exactly as the full sweep") {
+    // Every step of five streams, against the reference sweep: k in {1, 3, 4},
+    // both score functions, exclusion radius 1 and 5, minScore -∞ and 0.75.
     val synthetic = SyntheticCorpus.specs(42).find(s => s.dataset == "TSSB" && s.nSegments >= 3).get
     val cases = Seq(
       (Reference.Signals.twoRegimes(3000, 1500, 20, 50, 0.1, 61), 500, 20),
@@ -235,11 +257,10 @@ class ClaspScorerSpec extends SparkSpec {
       (Reference.Signals.meanShift(2500, 1200, 3.0, 1.0, 63), 400, 12),
       (Reference.Signals.gaussian(1500, 64), 300, 10),
       (SyntheticCorpus.generate(synthetic).values, 2000, synthetic.widthHint))
-    var passedAll = 0
-    for ((xs, d, w) <- cases) {
-      val knn = new StreamingKnn(d, w, 3)
-      val full = new ClaspScorer(d - w + 1)
-      val pruned = new ClaspScorer(d - w + 1)
+    var passed = 0
+    for ((xs, d, w) <- cases; k <- Seq(1, 3, 4)) {
+      val knn = new StreamingKnn(d, w, k)
+      val scorer = new ClaspScorer(d - w + 1)
       // The scope jumps forward at fixed steps, and is clamped to the window
       // start once the window passes it.
       val jumps = Set(xs.length / 3, xs.length / 2, 2 * xs.length / 3)
@@ -250,23 +271,26 @@ class ClaspScorerSpec extends SparkSpec {
         if (jumps(t)) scopeAbs = knn.windowStart + knn.numRows / 3
         if (knn.ready) {
           val s0 = scopeOf(knn, scopeAbs)
-          val want = full.score(knn, s0, ScoreFunction.MacroF1, exclRadius = 5)
-          val got = pruned.score(knn, s0, ScoreFunction.MacroF1, exclRadius = 5, minScore = 0.75)
-          if (got.bestZeroCount < 0 && want.bestZeroCount >= 0) {
-            rejected += 1
-            assert(want.bestScore < 0.75, s"d=$d t=$t: rejected a split scoring ${want.bestScore}")
-            assert(got.numSubseq == want.numSubseq)
-          } else {
-            assert(got == want, s"d=$d t=$t")
-            if (got.bestZeroCount >= 0) {
-              if (got.bestScore >= 0.75) passedAll += 1
-              assert(pruned.yPred.take(got.numSubseq).toSeq == full.yPred.take(want.numSubseq).toSeq, s"d=$d t=$t")
+          val m = knn.numRows - s0
+          val turns = Reference.turnPoints(knn, s0)
+          for (f <- Seq(ScoreFunction.MacroF1, ScoreFunction.Accuracy)) {
+            val profile = Reference.sweepProfile(knn, s0, w, f == ScoreFunction.MacroF1)
+            for (exclRadius <- Seq(1, 5); minScore <- Seq(NoMinScore, 0.75)) {
+              val ctx = s"d=$d k=$k t=$t $f exclRadius=$exclRadius minScore=$minScore"
+              val want = expected(profile, m, w, exclRadius, minScore)
+              val got = scorer.score(knn, s0, f, exclRadius, minScore)
+              assert(got == want, ctx)
+              if (got.bestZeroCount >= 0) {
+                if (minScore > NoMinScore) passed += 1
+                assert(labels(scorer, got) == turns.toSeq.map(t => if (t <= got.bestZeroCount) 0 else 1), ctx)
+              } else if (minScore > NoMinScore && expected(profile, m, w, exclRadius, NoMinScore).bestZeroCount >= 0)
+                rejected += 1
             }
           }
         }
       }
-      assert(rejected > 0, s"d=$d: no step rejected")
+      assert(rejected > 0, s"d=$d k=$k: no step rejected")
     }
-    assert(passedAll > 0, "no step reached minScore")
+    assert(passed > 0, "no step reached minScore")
   }
 }

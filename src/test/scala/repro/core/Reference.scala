@@ -1,7 +1,8 @@
 package repro.core
 
 /** Naive quadratic reference implementations of the streaming k-NN invariant
-  * and the ClaSP cross-validation — ground truth for the exactness tests.
+  * and the ClaSP cross-validation — ground truth for the exactness tests —
+  * and the linear cross-validation sweep checked against them.
   */
 object Reference {
 
@@ -108,6 +109,52 @@ object Reference {
         }
         j += 1
       }
+      if (useF1) {
+        val f1c1 = { val den = 2 * n11 + n10 + n01; if (den == 0) 0.0 else 2.0 * n11 / den }
+        val f1c0 = { val den = 2 * n00 + n01 + n10; if (den == 0) 0.0 else 2.0 * n00 / den }
+        (f1c0 + f1c1) / 2.0
+      } else (n11 + n00).toDouble / m
+    }.toVector
+  }
+
+  /** Per local subsequence `j` of the scope, its turn point: the first split
+    * `zc` at which its k-NN vote predicts 0, read from the rows' cached
+    * [[StreamingKnn.turnPositions]]. Its label at split `zc` is 0 exactly
+    * when its turn point is `<= zc`.
+    */
+  def turnPoints(knn: StreamingKnn, scopeStart: Int): Array[Int] = {
+    val base = (knn.windowStart + scopeStart).toInt // positions wrap alike
+    Array.tabulate(knn.numRows - scopeStart)(j => math.max(0, knn.turnPositions(scopeStart + j) - base + 1))
+  }
+
+  /** Algorithm 3's `O(m)` sweep: the same profile as [[naiveProfile]], from
+    * the turn points. From one split to the next, the one subsequence whose
+    * true label flips moves its confusion cell, and the subsequences that
+    * turn at the new split move their prediction 1 -> 0. The reference for
+    * streams too long for the naive profile.
+    */
+  def sweepProfile(knn: StreamingKnn, scopeStart: Int, w: Int, useF1: Boolean): Vector[Double] = {
+    val m = knn.numRows - scopeStart
+    val zMax = m - w - 2
+    if (zMax < 1) return Vector.empty
+    val turn = turnPoints(knn, scopeStart)
+    // Per split: how many subsequences turn 0 there while their own true
+    // label is still 1 (`j >= zc`), and how many turn while it is already 0.
+    val turnsRight = new Array[Int](zMax + 1)
+    val turnsLeft = new Array[Int](zMax + 1)
+    // The confusion matrix at split 0, where every in-scope label is 1.
+    var n11 = 0; var n10 = 0; var n01 = 0; var n00 = 0
+    var j = 0
+    while (j < m) {
+      if (turn(j) == 0) n10 += 1 else n11 += 1
+      if (turn(j) <= zMax) { if (j >= turn(j)) turnsRight(turn(j)) += 1 else turnsLeft(turn(j)) += 1 }
+      j += 1
+    }
+    (1 to zMax).map { zc =>
+      // The flipped subsequence's prediction is still the one of split zc - 1.
+      if (turn(zc - 1) >= zc) { n11 -= 1; n01 += 1 } else { n10 -= 1; n00 += 1 }
+      n11 -= turnsRight(zc); n10 += turnsRight(zc)
+      n01 -= turnsLeft(zc); n00 += turnsLeft(zc)
       if (useF1) {
         val f1c1 = { val den = 2 * n11 + n10 + n01; if (den == 0) 0.0 else 2.0 * n11 / den }
         val f1c0 = { val den = 2 * n00 + n01 + n10; if (den == 0) 0.0 else 2.0 * n00 / den }

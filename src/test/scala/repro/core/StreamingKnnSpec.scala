@@ -141,7 +141,8 @@ class StreamingKnnSpec extends SparkSpec {
     xs.foreach { x =>
       a.update(x); b.update(x)
       assert(b.windowStart == a.windowStart + start)
-      if (a.ready) assert(scorer.score(a, 0, ScoreFunction.MacroF1) == scorer.score(b, 0, ScoreFunction.MacroF1))
+      if (a.ready) assert(scorer.score(a, 0, ScoreFunction.MacroF1, 1, Double.NegativeInfinity) ==
+        scorer.score(b, 0, ScoreFunction.MacroF1, 1, Double.NegativeInfinity))
     }
   }
 
